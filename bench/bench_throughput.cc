@@ -1,7 +1,8 @@
-// Dataset-scale ranking throughput: scenes/sec of Fixy::RankDataset on a
-// 64-scene Lyft-like dataset, swept over worker-thread count. Tracks the
-// batch engine's parallel speedup (the production workload is ranking
-// whole datasets, not the single 15 s scene of Section 8.1).
+// Dataset-scale ranking throughput: scenes/sec of Fixy::RankDatasetStreaming
+// over an in-memory 64-scene Lyft-like dataset, swept over worker-thread
+// count. Tracks the batch engine's parallel speedup (the production
+// workload is ranking whole datasets, not the single 15 s scene of
+// Section 8.1).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,16 +54,24 @@ const Dataset& LyftDataset() {
   return *dataset;
 }
 
+// The Lyft dataset as a SceneSource; it lends the scenes, so ranking
+// through it pays no decode.
+const SceneSource& LyftSource() {
+  static const DatasetSceneSource* source =
+      new DatasetSceneSource(LyftDataset());
+  return *source;
+}
+
 // Scenes/sec vs. thread count for each application. items_processed is
 // scenes, so google-benchmark's items_per_second counter reports the
 // scenes/sec throughput directly.
-void RankDatasetSweep(benchmark::State& state, Application app) {
+void RankDatasetSweep(benchmark::State& state, const std::string& app) {
   const TrainedPipeline& pipeline = LyftPipeline();
-  const Dataset& dataset = LyftDataset();
   BatchOptions batch;
   batch.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto result = pipeline.fixy.RankDataset(dataset, app, batch);
+    auto result = pipeline.fixy.RankDatasetStreaming(LyftSource(), {app},
+                                                     batch);
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
@@ -73,7 +83,7 @@ void RankDatasetSweep(benchmark::State& state, Application app) {
 }
 
 void BM_RankDatasetMissingTracks(benchmark::State& state) {
-  RankDatasetSweep(state, Application::kMissingTracks);
+  RankDatasetSweep(state, "missing-tracks");
 }
 BENCHMARK(BM_RankDatasetMissingTracks)
     ->RangeMultiplier(2)
@@ -83,7 +93,7 @@ BENCHMARK(BM_RankDatasetMissingTracks)
     ->UseRealTime();
 
 void BM_RankDatasetMissingObservations(benchmark::State& state) {
-  RankDatasetSweep(state, Application::kMissingObservations);
+  RankDatasetSweep(state, "missing-obs");
 }
 BENCHMARK(BM_RankDatasetMissingObservations)
     ->RangeMultiplier(2)
@@ -93,7 +103,7 @@ BENCHMARK(BM_RankDatasetMissingObservations)
     ->UseRealTime();
 
 void BM_RankDatasetModelErrors(benchmark::State& state) {
-  RankDatasetSweep(state, Application::kModelErrors);
+  RankDatasetSweep(state, "model-errors");
 }
 BENCHMARK(BM_RankDatasetModelErrors)
     ->RangeMultiplier(2)
@@ -102,21 +112,19 @@ BENCHMARK(BM_RankDatasetModelErrors)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-// One instrumented RankDataset per application, merged into a single
+// One instrumented dataset ranking per application, merged into a single
 // PipelineMetrics snapshot — the same schema fixy_cli's --metrics-json
 // emits, so bench output can be diffed against CLI output directly.
 Status DumpMetrics(const std::string& path) {
   const TrainedPipeline& pipeline = LyftPipeline();
-  const Dataset& dataset = LyftDataset();
   obs::MetricsCollector collector;
   const obs::MetricsScope scope(&collector);
   BatchOptions batch;
   batch.collect_metrics = true;
-  for (const Application app :
-       {Application::kMissingTracks, Application::kMissingObservations,
-        Application::kModelErrors}) {
-    FIXY_ASSIGN_OR_RETURN(const BatchReport report,
-                          pipeline.fixy.RankDataset(dataset, app, batch));
+  for (const char* app : {"missing-tracks", "missing-obs", "model-errors"}) {
+    FIXY_ASSIGN_OR_RETURN(
+        const MultiAppReport report,
+        pipeline.fixy.RankDatasetStreaming(LyftSource(), {app}, batch));
     collector.Merge(report.metrics);
   }
   const obs::PipelineMetrics snapshot = collector.Snapshot();
@@ -145,7 +153,8 @@ Result<double> DecodeAllSeconds(const SceneSource& source, int threads) {
   std::atomic<bool> failed{false};
   for (size_t i = 0; i < source.scene_count(); ++i) {
     futures.push_back(pool.Submit([&source, &failed, i] {
-      const Result<Scene> scene = source.DecodeScene(i);
+      const Result<std::shared_ptr<const Scene>> scene =
+          source.DecodeScene(i);
       if (!scene.ok()) failed.store(true);
       benchmark::DoNotOptimize(scene);
     }));
@@ -281,19 +290,19 @@ Status RunIngestBench(const std::string& out_path) {
 // ---- Multi-application benchmark (--multiapp-json) ----
 //
 // Quantifies what the shared scene pass buys: ranking all registered
-// applications in ONE RankDataset call (decode + associate each scene
-// once, every app scores the shared track views and feature-score cache)
-// vs the legacy shape — one full solo pass per application. Also records
-// the association accounting: track builds run per scene in the shared
-// pass, per scene *per app* across the legacy passes.
+// applications in ONE RankDatasetStreaming call (decode + associate each
+// scene once, every app scores the shared track views and feature-score
+// cache) vs the legacy shape — one full solo pass per application. Also
+// records the association accounting: track builds run per scene in the
+// shared pass, per scene *per app* across the legacy passes.
 
-// Wall seconds of one multi-app RankDataset over `apps`.
-Result<double> RankSeconds(const Fixy& fixy, const Dataset& dataset,
+// Wall seconds of one multi-app dataset ranking over `apps`.
+Result<double> RankSeconds(const Fixy& fixy, const SceneSource& source,
                            const std::vector<std::string>& apps,
                            const BatchOptions& batch) {
   const auto start = std::chrono::steady_clock::now();
   FIXY_ASSIGN_OR_RETURN(const MultiAppReport report,
-                        fixy.RankDataset(dataset, apps, batch));
+                        fixy.RankDatasetStreaming(source, apps, batch));
   benchmark::DoNotOptimize(report);
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
@@ -311,14 +320,16 @@ Status RunMultiAppBench(const std::string& out_path) {
   BatchOptions counted;
   counted.num_threads = 1;
   counted.collect_metrics = true;
-  FIXY_ASSIGN_OR_RETURN(const MultiAppReport shared_counted,
-                        pipeline.fixy.RankDataset(dataset, apps, counted));
+  FIXY_ASSIGN_OR_RETURN(
+      const MultiAppReport shared_counted,
+      pipeline.fixy.RankDatasetStreaming(LyftSource(), apps, counted));
   const int64_t shared_builds =
       shared_counted.metrics.counters.at("rank.track_builds");
   int64_t legacy_builds = 0;
   for (const std::string& app : apps) {
-    FIXY_ASSIGN_OR_RETURN(const MultiAppReport solo,
-                          pipeline.fixy.RankDataset(dataset, {app}, counted));
+    FIXY_ASSIGN_OR_RETURN(
+        const MultiAppReport solo,
+        pipeline.fixy.RankDatasetStreaming(LyftSource(), {app}, counted));
     legacy_builds += solo.metrics.counters.at("rank.track_builds");
   }
 
@@ -327,16 +338,16 @@ Status RunMultiAppBench(const std::string& out_path) {
     BatchOptions batch;
     batch.num_threads = threads;
     FIXY_ASSIGN_OR_RETURN(const double single,
-                          RankSeconds(pipeline.fixy, dataset,
+                          RankSeconds(pipeline.fixy, LyftSource(),
                                       {apps.front()}, batch));
     FIXY_ASSIGN_OR_RETURN(
         const double shared,
-        RankSeconds(pipeline.fixy, dataset, apps, batch));
+        RankSeconds(pipeline.fixy, LyftSource(), apps, batch));
     double legacy = 0.0;
     for (const std::string& app : apps) {
       FIXY_ASSIGN_OR_RETURN(
           const double solo,
-          RankSeconds(pipeline.fixy, dataset, {app}, batch));
+          RankSeconds(pipeline.fixy, LyftSource(), {app}, batch));
       legacy += solo;
     }
     const struct {
@@ -435,11 +446,12 @@ Result<json::Object> MeasureHotpath() {
     double shared = 0.0;
     for (int rep = 0; rep < kHotpathReps; ++rep) {
       FIXY_ASSIGN_OR_RETURN(const double s,
-                            RankSeconds(pipeline.fixy, dataset,
+                            RankSeconds(pipeline.fixy, LyftSource(),
                                         {apps.front()}, batch));
       single = rep == 0 ? s : std::min(single, s);
       FIXY_ASSIGN_OR_RETURN(
-          const double a, RankSeconds(pipeline.fixy, dataset, apps, batch));
+          const double a,
+          RankSeconds(pipeline.fixy, LyftSource(), apps, batch));
       shared = rep == 0 ? a : std::min(shared, a);
     }
     const struct {

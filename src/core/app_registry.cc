@@ -23,7 +23,7 @@ std::string JoinNames(const std::vector<AppSpec>& apps) {
 
 ApplicationRegistry ApplicationRegistry::Standard() {
   ApplicationRegistry registry;
-  // Canonical order — Application enum values index into this.
+  // Canonical order: the paper applications in Section 7 order.
   (void)registry.Register(MissingTracksApp());
   (void)registry.Register(MissingObservationsApp());
   (void)registry.Register(ModelErrorsApp());

@@ -20,18 +20,6 @@
 
 namespace fixy {
 
-const char* ApplicationName(Application app) {
-  switch (app) {
-    case Application::kMissingTracks:
-      return "missing-tracks";
-    case Application::kMissingObservations:
-      return "missing-obs";
-    case Application::kModelErrors:
-      return "model-errors";
-  }
-  return "unknown";
-}
-
 Status AppendShardReport(MultiAppReport& into, MultiAppReport&& part) {
   if (into.apps.empty() && into.reports.empty()) {
     into.apps = std::move(part.apps);
@@ -241,29 +229,25 @@ Result<Fixy::RunPlan> Fixy::PlanRun(
 
 Result<std::vector<ErrorProposal>> Fixy::Find(const Scene& scene,
                                               const std::string& app) const {
-  FIXY_ASSIGN_OR_RETURN(RunPlan plan, PlanRun({app}));
-  const size_t idx = plan.app_indices.front();
-  FIXY_ASSIGN_OR_RETURN(
-      ScenePass pass,
-      ScenePass::Run(scene, options_.application.track_builder,
-                     plan.need_full, plan.need_model));
-  return RunApplicationOnPass(registry_.apps()[idx], specs_[idx], scene, pass,
-                              options_.application);
+  FIXY_ASSIGN_OR_RETURN(MultiAppReport report, RankScene(scene, {app}));
+  SceneOutcome& outcome = report.reports.front().outcomes.front();
+  if (!outcome.ok()) return outcome.status;
+  return std::move(outcome.proposals);
 }
 
 Result<std::vector<ErrorProposal>> Fixy::FindMissingTracks(
     const Scene& scene) const {
-  return Find(scene, ApplicationName(Application::kMissingTracks));
+  return Find(scene, "missing-tracks");
 }
 
 Result<std::vector<ErrorProposal>> Fixy::FindMissingObservations(
     const Scene& scene) const {
-  return Find(scene, ApplicationName(Application::kMissingObservations));
+  return Find(scene, "missing-obs");
 }
 
 Result<std::vector<ErrorProposal>> Fixy::FindModelErrors(
     const Scene& scene) const {
-  return Find(scene, ApplicationName(Application::kModelErrors));
+  return Find(scene, "model-errors");
 }
 
 void Fixy::RankSceneApps(const RunPlan& plan, const Scene& scene,
@@ -295,166 +279,27 @@ void Fixy::RankSceneApps(const RunPlan& plan, const Scene& scene,
   }
 }
 
-Result<MultiAppReport> Fixy::RankScene(
-    const Scene& scene, const std::vector<std::string>& apps) const {
-  FIXY_ASSIGN_OR_RETURN(RunPlan plan, PlanRun(apps));
-  const size_t app_count = plan.app_indices.size();
+MultiAppReport Fixy::EmptyReport(const RunPlan& plan,
+                                 size_t scene_count) const {
   MultiAppReport multi;
-  multi.apps.reserve(app_count);
+  multi.apps.reserve(plan.app_indices.size());
   for (const size_t idx : plan.app_indices) {
     multi.apps.push_back(registry_.apps()[idx].name);
   }
-  multi.reports.resize(app_count);
-  for (BatchReport& report : multi.reports) report.outcomes.resize(1);
-  RankSceneApps(plan, scene, multi.reports, 0);
-  for (BatchReport& report : multi.reports) {
-    if (report.outcomes.front().ok()) {
-      report.scenes_ok = 1;
-    } else {
-      report.scenes_failed = 1;
-      report.scenes_quarantined = 1;
-    }
-  }
-  return multi;
-}
-
-Result<MultiAppReport> Fixy::RankDataset(
-    const Dataset& dataset, const std::vector<std::string>& apps,
-    const BatchOptions& batch) const {
-  FIXY_ASSIGN_OR_RETURN(RunPlan plan, PlanRun(apps));
-
-  const size_t scene_count = dataset.scenes.size();
-  const size_t app_count = plan.app_indices.size();
-  MultiAppReport multi;
-  multi.apps.reserve(app_count);
-  for (const size_t idx : plan.app_indices) {
-    multi.apps.push_back(registry_.apps()[idx].name);
-  }
-  multi.reports.resize(app_count);
+  multi.reports.resize(plan.app_indices.size());
   for (BatchReport& report : multi.reports) {
     report.outcomes.resize(scene_count);
   }
-
-  const bool collect = batch.collect_metrics;
-  const obs::StageTimer total_timer;
-  // One collector per scene, touched only by the worker that ranks the
-  // scene: counters are exact per-scene event counts, and merging the
-  // snapshots back in dataset order afterwards makes the batch totals
-  // byte-identical at every thread count. With metrics off, a null scope
-  // is installed instead so an ambient caller-installed collector sees
-  // the same (empty) contribution from the serial and parallel paths.
-  std::vector<obs::PipelineMetrics> scene_metrics(collect ? scene_count : 0);
-
-  // Each scene is scored independently against the shared immutable specs,
-  // so outcomes land in pre-assigned slots and the merged output is
-  // identical for any thread count. The online phase draws no randomness;
-  // any per-scene variation comes only from the scene itself. A failing
-  // scene writes only its own slots, so it cannot poison its neighbours.
-  // All of a scene's applications run on one worker, in request order, so
-  // per-app counters are deterministic too.
-  auto rank_into_slot = [this, collect, &plan, &dataset, &multi,
-                         &scene_metrics](size_t i, uint64_t queue_wait_ns) {
-    obs::MetricsCollector scene_collector;
-    const obs::MetricsScope scope(collect ? &scene_collector : nullptr);
-    const obs::StageTimer scene_timer;
-    RankSceneApps(plan, dataset.scenes[i], multi.reports, i);
-    if (collect) {
-      const uint64_t wall_ns = scene_timer.ElapsedNs();
-      const double wall_ms = static_cast<double>(wall_ns) * 1e-6;
-      for (BatchReport& report : multi.reports) {
-        report.outcomes[i].wall_ms = wall_ms;
-      }
-      scene_collector.Count("span.scene.calls");
-      scene_collector.AddTimeNs("span.scene", wall_ns);
-      // Recorded even when zero (the serial path) so the snapshot schema
-      // does not depend on the thread count.
-      scene_collector.AddTimeNs("batch.queue_wait", queue_wait_ns);
-      scene_metrics[i] = scene_collector.Snapshot();
-    }
-  };
-
-  const int threads = ThreadPool::ResolveThreadCount(batch.num_threads);
-  const bool parallel = threads > 1 && scene_count > 1;
-  if (!parallel) {
-    // Serial reference path: no pool, calling thread only.
-    for (size_t i = 0; i < scene_count; ++i) rank_into_slot(i, 0);
-  } else {
-    ThreadPool pool(threads);
-    std::vector<std::future<void>> futures;
-    futures.reserve(scene_count);
-    for (size_t i = 0; i < scene_count; ++i) {
-      const auto enqueued = std::chrono::steady_clock::now();
-      futures.push_back(pool.Submit([&rank_into_slot, i, enqueued] {
-        const auto waited = std::chrono::steady_clock::now() - enqueued;
-        rank_into_slot(
-            i, static_cast<uint64_t>(
-                   std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
-                       .count()));
-      }));
-    }
-    for (std::future<void>& future : futures) future.get();
-  }
-
-  // Summary pass, and the fail-fast contract: the first failure in scene
-  // order (then request order within a scene) wins, so error reporting is
-  // as deterministic as the success path.
-  size_t scenes_all_ok = 0;
-  size_t scenes_any_failed = 0;
-  for (size_t i = 0; i < scene_count; ++i) {
-    bool any_failed = false;
-    for (size_t a = 0; a < app_count; ++a) {
-      const SceneOutcome& outcome = multi.reports[a].outcomes[i];
-      if (outcome.ok()) {
-        ++multi.reports[a].scenes_ok;
-        continue;
-      }
-      if (batch.fail_fast) {
-        // Name the scene so callers can tell which one sank the batch.
-        return Status(outcome.status.code(),
-                      "scene '" + outcome.scene_name +
-                          "': " + outcome.status.message());
-      }
-      ++multi.reports[a].scenes_failed;
-      ++multi.reports[a].scenes_quarantined;
-      any_failed = true;
-    }
-    if (any_failed) {
-      ++scenes_any_failed;
-    } else {
-      ++scenes_all_ok;
-    }
-  }
-
-  if (collect) {
-    for (const obs::PipelineMetrics& m : scene_metrics) {
-      multi.metrics.MergeFrom(m);
-    }
-    // Scene-granularity batch counters: a scene counts as ok only when
-    // every application ranked it (equals the per-app counters for a
-    // single-application run).
-    multi.metrics.counters["batch.scenes"] += scene_count;
-    multi.metrics.counters["batch.scenes_ok"] += scenes_all_ok;
-    multi.metrics.counters["batch.scenes_failed"] += scenes_any_failed;
-    multi.metrics.counters["batch.scenes_quarantined"] += scenes_any_failed;
-    multi.metrics.timers_ms["batch.total"] = total_timer.ElapsedMs();
-    multi.metrics.gauges["batch.threads"] =
-        static_cast<double>(parallel ? threads : 1);
-    double scene_ms_max = 0.0;
-    for (const SceneOutcome& outcome : multi.reports.front().outcomes) {
-      scene_ms_max = std::max(scene_ms_max, outcome.wall_ms);
-    }
-    multi.metrics.gauges["batch.scene_ms_max"] = scene_ms_max;
-  }
   return multi;
 }
 
-Result<BatchReport> Fixy::RankDataset(const Dataset& dataset, Application app,
-                                      const BatchOptions& batch) const {
-  FIXY_ASSIGN_OR_RETURN(MultiAppReport multi,
-                        RankDataset(dataset, {ApplicationName(app)}, batch));
-  BatchReport report = std::move(multi.reports.front());
-  report.metrics = std::move(multi.metrics);
-  return report;
+Result<MultiAppReport> Fixy::RankScene(
+    const Scene& scene, const std::vector<std::string>& apps) const {
+  FIXY_ASSIGN_OR_RETURN(RunPlan plan, PlanRun(apps));
+  MultiAppReport multi = EmptyReport(plan, 1);
+  RankSceneApps(plan, scene, multi.reports, 0);
+  RecomputeReportSummary(multi);
+  return multi;
 }
 
 Result<MultiAppReport> Fixy::RankDatasetStreaming(
@@ -463,23 +308,15 @@ Result<MultiAppReport> Fixy::RankDatasetStreaming(
   FIXY_ASSIGN_OR_RETURN(RunPlan plan, PlanRun(apps));
 
   const size_t scene_count = source.scene_count();
-  const size_t app_count = plan.app_indices.size();
-  MultiAppReport multi;
-  multi.apps.reserve(app_count);
-  for (const size_t idx : plan.app_indices) {
-    multi.apps.push_back(registry_.apps()[idx].name);
-  }
-  multi.reports.resize(app_count);
-  for (BatchReport& report : multi.reports) {
-    report.outcomes.resize(scene_count);
-  }
+  MultiAppReport multi = EmptyReport(plan, scene_count);
 
   const bool collect = batch.collect_metrics;
   const obs::StageTimer total_timer;
   // Two collectors per scene — one filled by the loader that decodes it,
-  // one by the worker that ranks it — merged back in dataset order, so
+  // one by the worker that ranks it — merged back in source order, so
   // every counter total is byte-identical at any decode/rank thread
-  // combination (same scheme as RankDataset).
+  // combination. With metrics off, a null scope is installed instead so
+  // an ambient caller-installed collector sees no contribution at all.
   std::vector<obs::PipelineMetrics> scene_metrics(collect ? scene_count : 0);
 
   const int rank_threads = ThreadPool::ResolveThreadCount(batch.num_threads);
@@ -493,7 +330,7 @@ Result<MultiAppReport> Fixy::RankDatasetStreaming(
   // applications rank it.
   struct WorkItem {
     size_t index;
-    Result<Scene> scene;
+    Result<std::shared_ptr<const Scene>> scene;
   };
   const int stall_ms = stream.stall_timeout_ms;
   // Everything a decode task touches after a stall abort must live on the
@@ -566,7 +403,7 @@ Result<MultiAppReport> Fixy::RankDatasetStreaming(
     if (!ctx->AcquireResident()) return;
     obs::MetricsCollector decode_collector;
     const obs::MetricsScope scope(collect ? &decode_collector : nullptr);
-    Result<Scene> scene = source.DecodeScene(i);
+    Result<std::shared_ptr<const Scene>> scene = source.DecodeScene(i);
     if (collect) ctx->decode_metrics[i] = decode_collector.Snapshot();
     ctx->queue.Push(WorkItem{i, std::move(scene)});
   };
@@ -598,9 +435,12 @@ Result<MultiAppReport> Fixy::RankDatasetStreaming(
 
   // Rank side: long-lived workers popping until the queue is closed and
   // drained. Outcomes land in pre-assigned slots, so arrival order —
-  // which varies with scheduling — cannot reorder the report. A decode
-  // failure flows through as every application's outcome Status for that
-  // scene, exactly like a ranking failure.
+  // which varies with scheduling — cannot reorder the report. A failing
+  // scene writes only its own slots, so it cannot poison its neighbours.
+  // All of a scene's applications run on one worker, in request order, so
+  // per-app counters are deterministic too. A decode failure flows
+  // through as every application's outcome Status for that scene,
+  // exactly like a ranking failure.
   auto rank_worker = [this, collect, &plan, &source, &multi, &scene_metrics,
                       &pop_item] {
     for (;;) {
@@ -618,7 +458,7 @@ Result<MultiAppReport> Fixy::RankDatasetStreaming(
           report.outcomes[i].status = item->scene.status();
         }
       } else {
-        RankSceneApps(plan, item->scene.value(), multi.reports, i);
+        RankSceneApps(plan, **item->scene, multi.reports, i);
       }
       if (collect) {
         const uint64_t wall_ns = scene_timer.ElapsedNs();
@@ -628,9 +468,8 @@ Result<MultiAppReport> Fixy::RankDatasetStreaming(
         }
         scene_collector.Count("span.scene.calls");
         scene_collector.AddTimeNs("span.scene", wall_ns);
-        // The streaming path's wait is the pop on the decode→rank queue;
-        // batch.queue_wait is recorded at zero so the snapshot key set
-        // matches the non-streaming path.
+        // The wait is the pop on the decode→rank queue; batch.queue_wait
+        // stays in the snapshot schema, recorded at zero.
         scene_collector.AddTimeNs("io.fxb.queue_wait", wait_ns);
         scene_collector.AddTimeNs("batch.queue_wait", 0);
         scene_metrics[i] = scene_collector.Snapshot();
@@ -692,41 +531,38 @@ Result<MultiAppReport> Fixy::RankDatasetStreaming(
     for (std::future<void>& future : rank_futures) future.get();
   }
 
-  // Same summary pass and fail-fast contract as RankDataset: the first
-  // failure in dataset order (then request order) wins.
-  size_t scenes_all_ok = 0;
+  // The fail-fast contract: the first failure in source order (then
+  // request order within a scene) wins, so error reporting is as
+  // deterministic as the success path.
   size_t scenes_any_failed = 0;
   for (size_t i = 0; i < scene_count; ++i) {
     bool any_failed = false;
-    for (size_t a = 0; a < app_count; ++a) {
-      const SceneOutcome& outcome = multi.reports[a].outcomes[i];
-      if (outcome.ok()) {
-        ++multi.reports[a].scenes_ok;
-        continue;
-      }
+    for (const BatchReport& report : multi.reports) {
+      const SceneOutcome& outcome = report.outcomes[i];
+      if (outcome.ok()) continue;
       if (batch.fail_fast) {
+        // Name the scene so callers can tell which one sank the run.
         return Status(outcome.status.code(),
                       "scene '" + outcome.scene_name +
                           "': " + outcome.status.message());
       }
-      ++multi.reports[a].scenes_failed;
-      ++multi.reports[a].scenes_quarantined;
       any_failed = true;
     }
-    if (any_failed) {
-      ++scenes_any_failed;
-    } else {
-      ++scenes_all_ok;
-    }
+    if (any_failed) ++scenes_any_failed;
   }
+  RecomputeReportSummary(multi);
 
   if (collect) {
     for (size_t i = 0; i < scene_count; ++i) {
       multi.metrics.MergeFrom(ctx->decode_metrics[i]);
       multi.metrics.MergeFrom(scene_metrics[i]);
     }
+    // Scene-granularity batch counters: a scene counts as ok only when
+    // every application ranked it (equals the per-app counters for a
+    // single-application run).
     multi.metrics.counters["batch.scenes"] += scene_count;
-    multi.metrics.counters["batch.scenes_ok"] += scenes_all_ok;
+    multi.metrics.counters["batch.scenes_ok"] +=
+        scene_count - scenes_any_failed;
     multi.metrics.counters["batch.scenes_failed"] += scenes_any_failed;
     multi.metrics.counters["batch.scenes_quarantined"] += scenes_any_failed;
     multi.metrics.timers_ms["batch.total"] = total_timer.ElapsedMs();
@@ -740,17 +576,6 @@ Result<MultiAppReport> Fixy::RankDatasetStreaming(
     multi.metrics.gauges["batch.scene_ms_max"] = scene_ms_max;
   }
   return multi;
-}
-
-Result<BatchReport> Fixy::RankDatasetStreaming(
-    const SceneSource& source, Application app, const BatchOptions& batch,
-    const StreamOptions& stream) const {
-  FIXY_ASSIGN_OR_RETURN(
-      MultiAppReport multi,
-      RankDatasetStreaming(source, {ApplicationName(app)}, batch, stream));
-  BatchReport report = std::move(multi.reports.front());
-  report.metrics = std::move(multi.metrics);
-  return report;
 }
 
 }  // namespace fixy

@@ -11,9 +11,11 @@
 //
 // Applications are open-ended: the engine ranks everything in its
 // ApplicationRegistry (the three paper applications plus any AppSpecs
-// registered through FixyOptions::extra_applications), and the
-// name-addressed RankDataset overloads rank several applications from one
-// pass over the dataset — one decode and one association per scene.
+// registered through FixyOptions::extra_applications), addressed by name.
+// RankScene ranks one scene; RankDatasetStreaming ranks every scene of a
+// SceneSource — an FXB cache, a JSON directory, or an in-memory Dataset
+// (DatasetSceneSource) — decoding and associating each scene once for
+// every requested application.
 #ifndef FIXY_CORE_ENGINE_H_
 #define FIXY_CORE_ENGINE_H_
 
@@ -48,26 +50,15 @@ struct FixyOptions {
   std::vector<AppSpec> extra_applications;
 };
 
-/// The three error-ranking applications of Section 7, as a selector for
-/// the single-app batch API (kept for callers that predate the
-/// name-addressed registry surface).
-enum class Application {
-  kMissingTracks = 0,
-  kMissingObservations = 1,
-  kModelErrors = 2,
-};
-
-/// The registry name of a paper application ("missing-tracks",
-/// "missing-obs", "model-errors").
-const char* ApplicationName(Application app);
-
 /// Configuration of dataset-scale batch ranking.
 struct BatchOptions {
-  /// Worker threads to fan scenes out across. 0 (the default) uses
-  /// hardware concurrency; 1 runs serially on the calling thread.
+  /// Rank worker threads to fan scenes out across. 0 (the default) uses
+  /// hardware concurrency. The workers are always pool threads, never
+  /// the calling thread, and StreamOptions::decode_threads loader
+  /// threads feed them; output does not depend on either count.
   int num_threads = 0;
 
-  /// When true, RankDataset fails with the first failing scene's Status
+  /// When true, the call fails with the first failing scene's Status
   /// (in dataset order, regardless of thread count; within a scene, in
   /// requested-application order). When false (the default), failing
   /// scenes are quarantined: their outcome carries the error, every other
@@ -84,8 +75,7 @@ struct BatchOptions {
   bool collect_metrics = false;
 };
 
-/// Configuration of the streaming ingestion pipeline
-/// (RankDatasetStreaming).
+/// Configuration of the decode side of RankDatasetStreaming.
 struct StreamOptions {
   /// Threads decoding scenes from the SceneSource. 1 (the default) keeps
   /// a single loader feeding the rank workers; higher values overlap
@@ -142,15 +132,16 @@ struct SceneOutcome {
   bool ok() const { return status.ok(); }
 };
 
-/// Per-scene outcomes of a RankDataset call, in dataset order (element i
-/// corresponds to dataset.scenes[i]). A failing scene never perturbs the
-/// other scenes' proposals: each scene is scored independently against the
-/// shared immutable spec, so outcome i is byte-identical to what an
-/// all-clean batch would produce for that scene.
+/// Per-scene outcomes of one application over a ranked source, in source
+/// order (element i corresponds to scene i). A failing scene never
+/// perturbs the other scenes' proposals: each scene is scored
+/// independently against the shared immutable spec, so outcome i is
+/// byte-identical to what an all-clean batch would produce for that scene.
 struct BatchReport {
   std::vector<SceneOutcome> outcomes;
 
-  /// Summary counters (kept consistent with `outcomes` by RankDataset).
+  /// Summary counters (kept consistent with `outcomes` by the ranking
+  /// call).
   size_t scenes_ok = 0;
   size_t scenes_failed = 0;
   /// Failing scenes that were quarantined instead of poisoning the batch;
@@ -243,9 +234,10 @@ class Fixy {
   /// Online phase (each requires Learn() first; FailedPrecondition
   /// otherwise). Outputs are ranked most-suspicious-first.
   ///
-  /// Ranks one registered application (by name) over one scene.
-  /// InvalidArgument for an unknown name — the message lists the
-  /// registered names.
+  /// Ranks one registered application (by name) over one scene: the
+  /// scene's proposals from RankScene(scene, {app}), or the scene's
+  /// Status when it fails (e.g. validation). InvalidArgument for an
+  /// unknown name — the message lists the registered names.
   Result<std::vector<ErrorProposal>> Find(const Scene& scene,
                                           const std::string& app) const;
 
@@ -258,63 +250,45 @@ class Fixy {
       const Scene& scene) const;
 
   /// Ranks every requested application over ONE scene from a single
-  /// association pass (the same shared ScenePass the batch path uses), on
-  /// the calling thread. The returned per-app reports each hold exactly
-  /// one outcome and are byte-identical to a one-scene RankDataset — this
-  /// is the daemon's single-scene request path, where the pool fans out
-  /// across requests rather than within one. Same failure semantics as
-  /// the quarantining batch default: a failing scene yields an ok report
-  /// whose outcomes carry the error. Errors: InvalidArgument for an empty
-  /// request or unknown/duplicated application name; FailedPrecondition
-  /// before Learn().
+  /// association pass (the same shared ScenePass the dataset path uses),
+  /// on the calling thread. The returned per-app reports each hold
+  /// exactly one outcome and are byte-identical to RankDatasetStreaming
+  /// over a one-scene source — this is the daemon's single-scene request
+  /// path, where the pool fans out across requests rather than within
+  /// one. Same failure semantics as the quarantining dataset default: a
+  /// failing scene yields an ok report whose outcomes carry the error.
+  /// Errors: InvalidArgument for an empty request or unknown/duplicated
+  /// application name; FailedPrecondition before Learn().
   Result<MultiAppReport> RankScene(const Scene& scene,
                                    const std::vector<std::string>& apps) const;
 
-  /// Dataset-scale multi-application batch ranking: runs every requested
-  /// application over every scene of `dataset` from ONE pass — scenes fan
-  /// out across a thread pool, and each worker runs association once per
-  /// scene (ScenePass) and then compiles/scores each application against
-  /// the shared track views and feature-score cache. Per-app reports are
-  /// byte-identical to solo runs of each application, at every thread
-  /// count (scenes are scored independently against shared immutable
-  /// specs; nothing in the online phase draws randomness).
+  /// Dataset-scale multi-application ranking — the one dataset path.
+  /// Loader threads decode scenes on demand from `source` (an in-memory
+  /// DatasetSceneSource lends its scenes instead) and feed the rank
+  /// workers through a bounded queue, overlapping decode with ranking and
+  /// keeping at most StreamOptions::queue_capacity decoded scenes in
+  /// memory. Each worker runs association once per scene (ScenePass) and
+  /// then compiles/scores every requested application against the shared
+  /// track views and feature-score cache. Outcomes land in pre-assigned
+  /// source-order slots, so the report (outcomes, proposals, and every
+  /// metrics counter) is identical at any combination of decode and rank
+  /// thread counts, and each per-app report is byte-identical to a solo
+  /// run of that application and to a serial loop of RankScene (scenes
+  /// are scored independently against shared immutable specs; nothing in
+  /// the online phase draws randomness).
   ///
   /// Failure semantics: by default a failing (scene, application) pair is
   /// quarantined — its outcome carries the error Status, all other
   /// outcomes are unaffected, and the call returns an ok MultiAppReport.
-  /// With BatchOptions::fail_fast the call instead returns the first
-  /// failing scene's Status, in dataset order (then request order within
-  /// the scene). An empty dataset yields an ok report with empty
-  /// per-app outcomes. Errors: InvalidArgument for an empty request, an
-  /// unknown or duplicated application name.
-  Result<MultiAppReport> RankDataset(const Dataset& dataset,
-                                     const std::vector<std::string>& apps,
-                                     const BatchOptions& batch = {}) const;
-
-  /// Single-application wrapper over the multi-app pass; the run-wide
-  /// metrics land on the returned BatchReport.
-  Result<BatchReport> RankDataset(const Dataset& dataset, Application app,
-                                  const BatchOptions& batch = {}) const;
-
-  /// Streaming variant of the multi-application RankDataset: scenes are
-  /// decoded on demand from `source` by a loader pool and fed to the rank
-  /// workers through a bounded queue, overlapping decode with ranking and
-  /// keeping at most StreamOptions::queue_capacity decoded scenes in
-  /// memory — each scene still decoded once and associated once for all
-  /// applications. Outcomes land in pre-assigned dataset-order slots, so
-  /// the report (outcomes, proposals, and every metrics counter) is
-  /// byte-identical to RankDataset over the materialized dataset, at any
-  /// combination of decode and rank thread counts. A scene whose *decode*
-  /// fails is quarantined for every application exactly like a scene whose
-  /// ranking fails (or, with fail_fast, fails the call with the first
-  /// dataset-order error).
+  /// A scene whose *decode* fails is quarantined for every application
+  /// the same way. With BatchOptions::fail_fast the call instead returns
+  /// the first failing scene's Status, in source order (then request
+  /// order within the scene). An empty source yields an ok report with
+  /// empty per-app outcomes. Errors: InvalidArgument for an empty
+  /// request, an unknown or duplicated application name; Internal when
+  /// StreamOptions::stall_timeout_ms fires.
   Result<MultiAppReport> RankDatasetStreaming(
       const SceneSource& source, const std::vector<std::string>& apps,
-      const BatchOptions& batch = {}, const StreamOptions& stream = {}) const;
-
-  /// Single-application wrapper over the streaming multi-app pass.
-  Result<BatchReport> RankDatasetStreaming(
-      const SceneSource& source, Application app,
       const BatchOptions& batch = {}, const StreamOptions& stream = {}) const;
 
   /// The application registry this engine ranks against: the three paper
@@ -357,6 +331,10 @@ class Fixy {
   /// Learned-state + registry checks and name resolution shared by every
   /// ranking entry point.
   Result<RunPlan> PlanRun(const std::vector<std::string>& names) const;
+
+  /// A report for `plan`'s applications with `scene_count` default
+  /// outcome slots per application.
+  MultiAppReport EmptyReport(const RunPlan& plan, size_t scene_count) const;
 
   /// Rebuilds the cached per-application specs from the learned state.
   /// Called once after Learn()/LoadModel(); the ranking hot path then

@@ -391,10 +391,11 @@ struct FixydServer::Impl {
             std::to_string(source.scene_count()) + " scenes)");
       }
     }
-    FIXY_ASSIGN_OR_RETURN(const Scene scene, source.DecodeScene(index));
+    FIXY_ASSIGN_OR_RETURN(const std::shared_ptr<const Scene> scene,
+                          source.DecodeScene(index));
     const obs::StageTimer rank_timer;
     FIXY_ASSIGN_OR_RETURN(const MultiAppReport report,
-                          fixy->RankScene(scene, apps));
+                          fixy->RankScene(*scene, apps));
     RecordAppTimers(report.apps, rank_timer.ElapsedNs());
     return BuildRankResult(report, request.top);
   }

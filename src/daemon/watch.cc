@@ -266,9 +266,10 @@ Status CycleOnce(WatchState& state) {
 
   // 5. Re-rank only the changed scenes.
   const obs::StageTimer rank_timer;
+  const DatasetSceneSource delta_source(delta);
   FIXY_ASSIGN_OR_RETURN(
       const MultiAppReport ranked,
-      state.fixy->RankDataset(delta, state.apps, state.batch));
+      state.fixy->RankDatasetStreaming(delta_source, state.apps, state.batch));
   obs::AddTimeNs("watch.rank", rank_timer.ElapsedNs());
   if (state.collector != nullptr) state.collector->Merge(ranked.metrics);
   for (size_t a = 0; a < ranked.apps.size(); ++a) {

@@ -1,15 +1,17 @@
-// SceneSource: the streaming-ingestion abstraction. A source knows how
-// many scenes it has and can decode any one of them on demand, from any
-// thread — which is what lets the engine overlap scene decode with
-// ranking (Fixy::RankDatasetStreaming) instead of materializing the whole
-// dataset before the first scene is scored.
+// SceneSource: the input of dataset ranking (Fixy::RankDatasetStreaming).
+// A source knows how many scenes it has and can produce any one of them on
+// demand, from any thread — which is what lets the engine overlap scene
+// decode with ranking instead of materializing the whole dataset before
+// the first scene is scored.
 //
 // Implementations: io::FxbSceneSource (binary cache, mmap-backed),
-// io::DirectorySceneSource (per-file JSON), and the in-memory
-// DatasetSceneSource below (tests and already-loaded datasets).
+// io::DirectorySceneSource (per-file JSON), shard::ShardSceneView (a
+// slice of another source), and the in-memory DatasetSceneSource below,
+// which lends already-loaded scenes without copying them.
 #ifndef FIXY_DATA_SCENE_SOURCE_H_
 #define FIXY_DATA_SCENE_SOURCE_H_
 
+#include <memory>
 #include <string>
 
 #include "common/result.h"
@@ -30,13 +32,18 @@ class SceneSource {
   /// the outcome when decode itself fails). May return a placeholder.
   virtual std::string scene_name(size_t index) const = 0;
 
-  /// Decodes scene `index`, validating it at the ingestion boundary.
-  /// Thread-safe: may be called concurrently from multiple threads.
-  virtual Result<Scene> DecodeScene(size_t index) const = 0;
+  /// Produces scene `index`. Thread-safe: may be called concurrently from
+  /// multiple threads. A decoding source validates the scene at the
+  /// ingestion boundary and returns a pointer that owns it; a source over
+  /// scenes already in memory lends them through a non-owning pointer,
+  /// valid while that memory lives.
+  virtual Result<std::shared_ptr<const Scene>> DecodeScene(
+      size_t index) const = 0;
 };
 
-/// An already-materialized Dataset as a SceneSource. Decoding copies the
-/// scene out; the referenced dataset must outlive the source.
+/// An already-materialized Dataset as a SceneSource. DecodeScene lends
+/// `dataset.scenes[index]` itself (a non-owning pointer, no copy); the
+/// referenced dataset must outlive the source and every lent pointer.
 class DatasetSceneSource : public SceneSource {
  public:
   explicit DatasetSceneSource(const Dataset& dataset) : dataset_(dataset) {}
@@ -48,13 +55,17 @@ class DatasetSceneSource : public SceneSource {
                                           : std::string();
   }
 
-  Result<Scene> DecodeScene(size_t index) const override {
+  Result<std::shared_ptr<const Scene>> DecodeScene(
+      size_t index) const override {
     if (index >= dataset_.scenes.size()) {
       return Status::OutOfRange(
           StrFormat("scene index %zu out of range (%zu scenes)", index,
                     dataset_.scenes.size()));
     }
-    return dataset_.scenes[index];
+    // Aliasing constructor with an empty owner: points at the scene,
+    // owns nothing.
+    return std::shared_ptr<const Scene>(std::shared_ptr<const Scene>(),
+                                        &dataset_.scenes[index]);
   }
 
  private:

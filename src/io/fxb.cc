@@ -989,12 +989,15 @@ std::string DirectorySceneSource::scene_name(size_t index) const {
   return name;
 }
 
-Result<Scene> DirectorySceneSource::DecodeScene(size_t index) const {
+Result<std::shared_ptr<const Scene>> DirectorySceneSource::DecodeScene(
+    size_t index) const {
   if (index >= files_.size()) {
     return Status::OutOfRange(StrFormat(
         "scene index %zu out of range (%zu scenes)", index, files_.size()));
   }
-  return LoadScene(directory_ + "/" + files_[index]);
+  FIXY_ASSIGN_OR_RETURN(Scene scene,
+                        LoadScene(directory_ + "/" + files_[index]));
+  return std::make_shared<const Scene>(std::move(scene));
 }
 
 void RecordFxbMetricsSchema() {

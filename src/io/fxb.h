@@ -49,6 +49,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/result.h"
 #include "data/scene.h"
 #include "data/scene_source.h"
@@ -280,8 +281,10 @@ class FxbSceneSource : public SceneSource {
   std::string scene_name(size_t index) const override {
     return reader_->SceneNameHint(index);
   }
-  Result<Scene> DecodeScene(size_t index) const override {
-    return reader_->DecodeScene(index);
+  Result<std::shared_ptr<const Scene>> DecodeScene(
+      size_t index) const override {
+    FIXY_ASSIGN_OR_RETURN(Scene scene, reader_->DecodeScene(index));
+    return std::make_shared<const Scene>(std::move(scene));
   }
   const FxbReader& reader() const { return *reader_; }
 
@@ -299,7 +302,8 @@ class DirectorySceneSource : public SceneSource {
 
   size_t scene_count() const override { return files_.size(); }
   std::string scene_name(size_t index) const override;
-  Result<Scene> DecodeScene(size_t index) const override;
+  Result<std::shared_ptr<const Scene>> DecodeScene(
+      size_t index) const override;
 
  private:
   std::string directory_;

@@ -102,8 +102,9 @@ Result<std::vector<SweepCell>> RunScenario(const ScenarioSpec& spec,
   BatchOptions batch;
   batch.num_threads = 1;  // Parallelism lives at the scenario level.
   batch.fail_fast = true;
+  const DatasetSceneSource source(data.dataset);
   FIXY_ASSIGN_OR_RETURN(const MultiAppReport ranked,
-                        fixy.RankDataset(data.dataset, options.apps, batch));
+                        fixy.RankDatasetStreaming(source, options.apps, batch));
 
   std::vector<SweepCell> cells;
   for (size_t a = 0; a < ranked.apps.size(); ++a) {

@@ -580,7 +580,7 @@ Result<ShardRunReport> Coordinator::BuildReport() {
   }
   if (out.merged.apps.empty()) {
     // Empty dataset: an ok report with empty per-app outcomes, matching
-    // RankDataset on an empty dataset.
+    // RankDatasetStreaming over an empty source.
     out.merged.apps = apps_;
     out.merged.reports.resize(apps_.size());
   }

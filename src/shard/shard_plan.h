@@ -61,7 +61,8 @@ class ShardSceneView : public SceneSource {
   std::string scene_name(size_t index) const override {
     return base_->scene_name(range_.begin + index);
   }
-  Result<Scene> DecodeScene(size_t index) const override {
+  Result<std::shared_ptr<const Scene>> DecodeScene(
+      size_t index) const override {
     return base_->DecodeScene(range_.begin + index);
   }
 

@@ -1,6 +1,8 @@
-// Tests for the dataset-scale batch ranking path: the RankDataset facade,
-// parallel-vs-serial determinism, the cached per-application specs, and
-// the ClosestApproachBundle empty-bundle regression.
+// Tests for the dataset-scale ranking path (RankDatasetStreaming over a
+// SceneSource): agreement with a serial loop of RankScene at every rank
+// and decode thread count, quarantine and fail-fast, metrics, the cached
+// per-application specs, and the ClosestApproachBundle empty-bundle
+// regression.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/macros.h"
 #include "core/applications.h"
 #include "data/scene_source.h"
 #include "core/engine.h"
@@ -40,6 +43,45 @@ void ExpectProposalsIdentical(const std::vector<ErrorProposal>& a,
     EXPECT_EQ(a[i].first_frame, b[i].first_frame) << "proposal " << i;
     EXPECT_EQ(a[i].last_frame, b[i].last_frame) << "proposal " << i;
   }
+}
+
+const char* const kPaperApps[] = {"missing-tracks", "missing-obs",
+                                  "model-errors"};
+
+// Ranks one application over `source` through the one dataset path; the
+// run's metrics move onto the returned per-app report.
+Result<BatchReport> RankApp(const Fixy& fixy, const SceneSource& source,
+                            const std::string& app,
+                            const BatchOptions& batch = {},
+                            const StreamOptions& stream = {}) {
+  FIXY_ASSIGN_OR_RETURN(MultiAppReport multi,
+                        fixy.RankDatasetStreaming(source, {app}, batch,
+                                                  stream));
+  BatchReport report = std::move(multi.reports.front());
+  report.metrics = std::move(multi.metrics);
+  return report;
+}
+
+Result<BatchReport> RankApp(const Fixy& fixy, const Dataset& dataset,
+                            const std::string& app,
+                            const BatchOptions& batch = {},
+                            const StreamOptions& stream = {}) {
+  const DatasetSceneSource source(dataset);
+  return RankApp(fixy, source, app, batch, stream);
+}
+
+// The reference every dataset run must match: a serial loop of RankScene
+// over the scenes, one at a time on the calling thread.
+Result<BatchReport> SerialRankScene(const Fixy& fixy, const Dataset& dataset,
+                                    const std::string& app) {
+  MultiAppReport serial;
+  for (const Scene& scene : dataset.scenes) {
+    FIXY_ASSIGN_OR_RETURN(MultiAppReport one, fixy.RankScene(scene, {app}));
+    FIXY_RETURN_IF_ERROR(AppendShardReport(serial, std::move(one)));
+  }
+  RecomputeReportSummary(serial);
+  if (serial.reports.empty()) return BatchReport{};
+  return std::move(serial.reports.front());
 }
 
 class BatchRankTest : public ::testing::Test {
@@ -83,15 +125,14 @@ Dataset PoisonScene(const Dataset& dataset, size_t index) {
 
 TEST_F(BatchRankTest, RequiresLearn) {
   const Fixy unlearned;
-  const auto result = unlearned.RankDataset(dataset_->dataset,
-                                            Application::kMissingTracks);
+  const auto result =
+      RankApp(unlearned, dataset_->dataset, "missing-tracks");
   EXPECT_FALSE(result.ok());
 }
 
 TEST_F(BatchRankTest, EmptyDatasetYieldsEmptyResult) {
   const Dataset empty;
-  const auto result =
-      fixy_->RankDataset(empty, Application::kMissingTracks);
+  const auto result = RankApp(*fixy_, empty, "missing-tracks");
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->outcomes.empty());
   EXPECT_TRUE(result->all_ok());
@@ -103,8 +144,7 @@ TEST_F(BatchRankTest, EmptyDatasetOkEvenWithFailFast) {
   const Dataset empty;
   BatchOptions options;
   options.fail_fast = true;
-  const auto result =
-      fixy_->RankDataset(empty, Application::kModelErrors, options);
+  const auto result = RankApp(*fixy_, empty, "model-errors", options);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->outcomes.empty());
 }
@@ -125,10 +165,8 @@ TEST_F(BatchRankTest, EmptyFrameScenesRankToEmptyProposals) {
     empty_frames.AddFrame(frame);
   }
   dataset.scenes.push_back(empty_frames);
-  for (const Application app :
-       {Application::kMissingTracks, Application::kMissingObservations,
-        Application::kModelErrors}) {
-    const auto result = fixy_->RankDataset(dataset, app);
+  for (const char* app : kPaperApps) {
+    const auto result = RankApp(*fixy_, dataset, app);
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->outcomes.size(), 2u);
     EXPECT_TRUE(result->all_ok());
@@ -141,9 +179,8 @@ TEST_F(BatchRankTest, EmptyFrameScenesRankToEmptyProposals) {
 }
 
 TEST_F(BatchRankTest, ReturnsOneRankedListPerSceneInOrder) {
-  const auto result = fixy_->RankDataset(dataset_->dataset,
-                                         Application::kMissingTracks,
-                                         BatchOptions{4});
+  const auto result = RankApp(*fixy_, dataset_->dataset, "missing-tracks",
+                              BatchOptions{4});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->outcomes.size(), dataset_->dataset.scenes.size());
   EXPECT_EQ(result->scenes_ok, dataset_->dataset.scenes.size());
@@ -162,24 +199,25 @@ TEST_F(BatchRankTest, ReturnsOneRankedListPerSceneInOrder) {
   }
 }
 
-// The tentpole determinism contract: on a 16-scene sim dataset, 1 worker
-// and N workers must produce identical ranked proposals for every
-// application.
+// The tentpole determinism contract: on a 16-scene sim dataset, every
+// (rank threads, decode threads) combination must produce the ranked
+// proposals of a serial RankScene loop, for every application.
 TEST_F(BatchRankTest, ParallelOutputIdenticalToSerial) {
-  for (const Application app :
-       {Application::kMissingTracks, Application::kMissingObservations,
-        Application::kModelErrors}) {
-    const auto serial =
-        fixy_->RankDataset(dataset_->dataset, app, BatchOptions{1});
+  for (const char* app : kPaperApps) {
+    const auto serial = SerialRankScene(*fixy_, dataset_->dataset, app);
     ASSERT_TRUE(serial.ok());
-    for (const int threads : {2, 8}) {
-      const auto parallel =
-          fixy_->RankDataset(dataset_->dataset, app, BatchOptions{threads});
-      ASSERT_TRUE(parallel.ok());
-      ASSERT_EQ(serial->outcomes.size(), parallel->outcomes.size());
-      for (size_t s = 0; s < serial->outcomes.size(); ++s) {
-        ExpectProposalsIdentical(serial->outcomes[s].proposals,
-                                 parallel->outcomes[s].proposals);
+    for (int threads = 1; threads <= 8; ++threads) {
+      for (const int decode_threads : {1, 2}) {
+        StreamOptions stream;
+        stream.decode_threads = decode_threads;
+        const auto parallel = RankApp(*fixy_, dataset_->dataset, app,
+                                      BatchOptions{threads}, stream);
+        ASSERT_TRUE(parallel.ok());
+        ASSERT_EQ(serial->outcomes.size(), parallel->outcomes.size());
+        for (size_t s = 0; s < serial->outcomes.size(); ++s) {
+          ExpectProposalsIdentical(serial->outcomes[s].proposals,
+                                   parallel->outcomes[s].proposals);
+        }
       }
     }
   }
@@ -188,9 +226,8 @@ TEST_F(BatchRankTest, ParallelOutputIdenticalToSerial) {
 // The batch path must agree with the single-scene facade calls (which use
 // the same cached specs).
 TEST_F(BatchRankTest, BatchAgreesWithSingleSceneCalls) {
-  const auto batch = fixy_->RankDataset(dataset_->dataset,
-                                        Application::kMissingTracks,
-                                        BatchOptions{4});
+  const auto batch = RankApp(*fixy_, dataset_->dataset, "missing-tracks",
+                             BatchOptions{4});
   ASSERT_TRUE(batch.ok());
   for (size_t s = 0; s < dataset_->dataset.scenes.size(); ++s) {
     const auto single =
@@ -206,13 +243,12 @@ TEST_F(BatchRankTest, BatchAgreesWithSingleSceneCalls) {
 TEST_F(BatchRankTest, PoisonedSceneQuarantinedOthersUnaffected) {
   constexpr size_t kPoisoned = 5;
   const Dataset poisoned = PoisonScene(dataset_->dataset, kPoisoned);
-  const auto clean = fixy_->RankDataset(dataset_->dataset,
-                                        Application::kMissingTracks,
-                                        BatchOptions{1});
+  const auto clean =
+      SerialRankScene(*fixy_, dataset_->dataset, "missing-tracks");
   ASSERT_TRUE(clean.ok());
   for (int threads = 1; threads <= 8; ++threads) {
-    const auto result = fixy_->RankDataset(
-        poisoned, Application::kMissingTracks, BatchOptions{threads});
+    const auto result =
+        RankApp(*fixy_, poisoned, "missing-tracks", BatchOptions{threads});
     ASSERT_TRUE(result.ok()) << "threads=" << threads;
     ASSERT_EQ(result->outcomes.size(), dataset_->dataset.scenes.size());
     EXPECT_EQ(result->scenes_ok, dataset_->dataset.scenes.size() - 1);
@@ -241,8 +277,7 @@ TEST_F(BatchRankTest, FailFastReturnsFirstFailureInDatasetOrder) {
   options.fail_fast = true;
   for (const int threads : {1, 2, 8}) {
     options.num_threads = threads;
-    const auto result = fixy_->RankDataset(
-        poisoned, Application::kMissingTracks, options);
+    const auto result = RankApp(*fixy_, poisoned, "missing-tracks", options);
     ASSERT_FALSE(result.ok()) << "threads=" << threads;
     EXPECT_NE(result.status().message().find(
                   poisoned.scenes[3].name()),
@@ -256,8 +291,8 @@ TEST_F(BatchRankTest, FailFastReturnsFirstFailureInDatasetOrder) {
 TEST_F(BatchRankTest, TwoPoisonedScenesBothQuarantined) {
   Dataset poisoned = PoisonScene(dataset_->dataset, 3);
   poisoned.scenes[10].frames().front().index = 9999;
-  const auto result = fixy_->RankDataset(
-      poisoned, Application::kMissingTracks, BatchOptions{4});
+  const auto result =
+      RankApp(*fixy_, poisoned, "missing-tracks", BatchOptions{4});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->scenes_failed, 2u);
   EXPECT_EQ(result->scenes_quarantined, 2u);
@@ -282,6 +317,21 @@ TEST_F(BatchRankTest, CachedSpecMatchesPerCallSpecConstruction) {
   ExpectProposalsIdentical(*cached, *rebuilt);
 }
 
+// Find on a scene that fails validation returns that scene's Status, not
+// an ok result with no proposals.
+TEST_F(BatchRankTest, FindReturnsTheFailingSceneStatus) {
+  const Dataset poisoned = PoisonScene(dataset_->dataset, 0);
+  const Scene& scene = poisoned.scenes.front();
+  const Status invalid = scene.Validate();
+  ASSERT_FALSE(invalid.ok());
+  for (const char* app : kPaperApps) {
+    const auto found = fixy_->Find(scene, app);
+    ASSERT_FALSE(found.ok()) << app;
+    EXPECT_EQ(found.status().code(), invalid.code()) << app;
+    EXPECT_EQ(found.status().message(), invalid.message()) << app;
+  }
+}
+
 // Every metric value in a snapshot must be finite, timers and gauges
 // non-negative (counters are unsigned by construction).
 void ExpectMetricsWellFormed(const obs::PipelineMetrics& metrics) {
@@ -301,8 +351,8 @@ TEST_F(BatchRankTest, MetricsCountersIdenticalAcrossThreadCounts) {
   BatchOptions options;
   options.collect_metrics = true;
   options.num_threads = 1;
-  const auto baseline = fixy_->RankDataset(
-      dataset_->dataset, Application::kMissingTracks, options);
+  const auto baseline =
+      RankApp(*fixy_, dataset_->dataset, "missing-tracks", options);
   ASSERT_TRUE(baseline.ok());
   ASSERT_FALSE(baseline->metrics.counters.empty());
   EXPECT_GT(baseline->metrics.counters.at("batch.scenes"), 0u);
@@ -313,8 +363,8 @@ TEST_F(BatchRankTest, MetricsCountersIdenticalAcrossThreadCounts) {
 
   for (int threads = 2; threads <= 8; ++threads) {
     options.num_threads = threads;
-    const auto result = fixy_->RankDataset(
-        dataset_->dataset, Application::kMissingTracks, options);
+    const auto result =
+        RankApp(*fixy_, dataset_->dataset, "missing-tracks", options);
     ASSERT_TRUE(result.ok()) << "threads=" << threads;
     EXPECT_EQ(result->metrics.counters, baseline->metrics.counters)
         << "threads=" << threads;
@@ -336,8 +386,7 @@ TEST_F(BatchRankTest, MetricsQuarantineCountersMatchReport) {
   BatchOptions options;
   options.collect_metrics = true;
   options.num_threads = 4;
-  const auto result = fixy_->RankDataset(
-      poisoned, Application::kMissingTracks, options);
+  const auto result = RankApp(*fixy_, poisoned, "missing-tracks", options);
   ASSERT_TRUE(result.ok());
   const auto& counters = result->metrics.counters;
   EXPECT_EQ(counters.at("batch.scenes"), poisoned.scenes.size());
@@ -355,8 +404,8 @@ TEST_F(BatchRankTest, MetricsEmptyWhenDisabled) {
   for (const int threads : {1, 4}) {
     obs::MetricsCollector ambient;
     const obs::MetricsScope scope(&ambient);
-    const auto result = fixy_->RankDataset(
-        dataset_->dataset, Application::kMissingTracks, BatchOptions{threads});
+    const auto result = RankApp(*fixy_, dataset_->dataset, "missing-tracks",
+                                BatchOptions{threads});
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->metrics.empty());
     EXPECT_TRUE(ambient.Snapshot().empty()) << "threads=" << threads;
@@ -393,7 +442,8 @@ class FailingSource : public SceneSource {
   std::string scene_name(size_t index) const override {
     return inner_.scene_name(index);
   }
-  Result<Scene> DecodeScene(size_t index) const override {
+  Result<std::shared_ptr<const Scene>> DecodeScene(
+      size_t index) const override {
     if (failing_.count(index)) {
       return Status::FailedPrecondition("injected decode failure");
     }
@@ -406,12 +456,12 @@ class FailingSource : public SceneSource {
 };
 
 // The streaming determinism contract: RankDatasetStreaming must produce a
-// report byte-identical to RankDataset at every (rank threads, decode
-// threads, queue capacity) combination.
+// report byte-identical to a serial RankScene loop at every (rank threads,
+// decode threads) combination.
 TEST_F(BatchRankTest, StreamingMatchesNonStreaming) {
   const DatasetSceneSource source(dataset_->dataset);
-  const auto reference = fixy_->RankDataset(
-      dataset_->dataset, Application::kMissingTracks, BatchOptions{1});
+  const auto reference =
+      SerialRankScene(*fixy_, dataset_->dataset, "missing-tracks");
   ASSERT_TRUE(reference.ok());
   for (int threads = 1; threads <= 8; ++threads) {
     for (const int decode_threads : {1, 2}) {
@@ -419,8 +469,8 @@ TEST_F(BatchRankTest, StreamingMatchesNonStreaming) {
       batch.num_threads = threads;
       StreamOptions stream;
       stream.decode_threads = decode_threads;
-      const auto streamed = fixy_->RankDatasetStreaming(
-          source, Application::kMissingTracks, batch, stream);
+      const auto streamed =
+          RankApp(*fixy_, source, "missing-tracks", batch, stream);
       ASSERT_TRUE(streamed.ok())
           << "threads=" << threads << " decode=" << decode_threads;
       ASSERT_EQ(streamed->outcomes.size(), reference->outcomes.size());
@@ -463,7 +513,8 @@ class HangingSource : public SceneSource {
   std::string scene_name(size_t index) const override {
     return inner_.scene_name(index);
   }
-  Result<Scene> DecodeScene(size_t index) const override {
+  Result<std::shared_ptr<const Scene>> DecodeScene(
+      size_t index) const override {
     if (index == hang_index_) {
       const std::shared_ptr<Gate> gate = gate_;  // keep alive past `this`
       std::unique_lock<std::mutex> lock(gate->mutex);
@@ -492,8 +543,8 @@ TEST_F(BatchRankTest, StreamingStallSurfacesAsStatus) {
   StreamOptions stream;
   stream.decode_threads = 1;  // the hung scene blocks the whole stream
   stream.stall_timeout_ms = 100;
-  const auto result = fixy_->RankDatasetStreaming(
-      source, Application::kMissingTracks, batch, stream);
+  const auto result =
+      fixy_->RankDatasetStreaming(source, {"missing-tracks"}, batch, stream);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
   EXPECT_NE(result.status().message().find("stalled"), std::string::npos);
@@ -512,8 +563,8 @@ TEST_F(BatchRankTest, StreamingStallSurfacesAsStatus) {
 // must not change.
 TEST_F(BatchRankTest, StreamingUnaffectedByQueueCapacity) {
   const DatasetSceneSource source(dataset_->dataset);
-  const auto reference = fixy_->RankDataset(
-      dataset_->dataset, Application::kMissingTracks, BatchOptions{1});
+  const auto reference =
+      SerialRankScene(*fixy_, dataset_->dataset, "missing-tracks");
   ASSERT_TRUE(reference.ok());
   BatchOptions batch;
   batch.num_threads = 4;
@@ -521,8 +572,8 @@ TEST_F(BatchRankTest, StreamingUnaffectedByQueueCapacity) {
   stream.decode_threads = 4;
   for (const size_t capacity : {size_t{1}, size_t{2}, size_t{64}}) {
     stream.queue_capacity = capacity;
-    const auto streamed = fixy_->RankDatasetStreaming(
-        source, Application::kMissingTracks, batch, stream);
+    const auto streamed =
+        RankApp(*fixy_, source, "missing-tracks", batch, stream);
     ASSERT_TRUE(streamed.ok()) << "capacity=" << capacity;
     ASSERT_EQ(streamed->outcomes.size(), reference->outcomes.size());
     for (size_t s = 0; s < reference->outcomes.size(); ++s) {
@@ -539,8 +590,7 @@ TEST_F(BatchRankTest, StreamingCountersIdenticalAcrossThreadCounts) {
   BatchOptions batch;
   batch.collect_metrics = true;
   batch.num_threads = 1;
-  const auto baseline = fixy_->RankDatasetStreaming(
-      source, Application::kMissingTracks, batch);
+  const auto baseline = RankApp(*fixy_, source, "missing-tracks", batch);
   ASSERT_TRUE(baseline.ok());
   EXPECT_EQ(baseline->metrics.counters.at("batch.scenes"),
             dataset_->dataset.scenes.size());
@@ -548,8 +598,8 @@ TEST_F(BatchRankTest, StreamingCountersIdenticalAcrossThreadCounts) {
     batch.num_threads = threads;
     StreamOptions stream;
     stream.decode_threads = 2;
-    const auto result = fixy_->RankDatasetStreaming(
-        source, Application::kMissingTracks, batch, stream);
+    const auto result =
+        RankApp(*fixy_, source, "missing-tracks", batch, stream);
     ASSERT_TRUE(result.ok()) << "threads=" << threads;
     EXPECT_EQ(result->metrics.counters, baseline->metrics.counters)
         << "threads=" << threads;
@@ -561,12 +611,12 @@ TEST_F(BatchRankTest, StreamingCountersIdenticalAcrossThreadCounts) {
 // clean run byte for byte.
 TEST_F(BatchRankTest, StreamingDecodeFailureQuarantined) {
   const FailingSource source(dataset_->dataset, {5});
-  const auto clean = fixy_->RankDataset(
-      dataset_->dataset, Application::kMissingTracks, BatchOptions{1});
+  const auto clean =
+      SerialRankScene(*fixy_, dataset_->dataset, "missing-tracks");
   ASSERT_TRUE(clean.ok());
   for (const int threads : {1, 4}) {
-    const auto result = fixy_->RankDatasetStreaming(
-        source, Application::kMissingTracks, BatchOptions{threads});
+    const auto result =
+        RankApp(*fixy_, source, "missing-tracks", BatchOptions{threads});
     ASSERT_TRUE(result.ok()) << "threads=" << threads;
     ASSERT_EQ(result->outcomes.size(), dataset_->dataset.scenes.size());
     EXPECT_EQ(result->scenes_failed, 1u);
@@ -592,8 +642,7 @@ TEST_F(BatchRankTest, StreamingFailFastFirstInDatasetOrder) {
   batch.fail_fast = true;
   for (const int threads : {1, 8}) {
     batch.num_threads = threads;
-    const auto result = fixy_->RankDatasetStreaming(
-        source, Application::kMissingTracks, batch);
+    const auto result = RankApp(*fixy_, source, "missing-tracks", batch);
     ASSERT_FALSE(result.ok()) << "threads=" << threads;
     EXPECT_NE(result.status().message().find(
                   dataset_->dataset.scenes[3].name()),
@@ -605,8 +654,7 @@ TEST_F(BatchRankTest, StreamingFailFastFirstInDatasetOrder) {
 TEST_F(BatchRankTest, StreamingEmptySource) {
   const Dataset empty;
   const DatasetSceneSource source(empty);
-  const auto result = fixy_->RankDatasetStreaming(
-      source, Application::kMissingTracks);
+  const auto result = RankApp(*fixy_, source, "missing-tracks");
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->outcomes.empty());
   EXPECT_TRUE(result->all_ok());

@@ -1,11 +1,12 @@
 // Tests for src/data: enums, observations, scenes (incl. validation
-// failure injection), bundles, and tracks.
+// failure injection), bundles, tracks, and the in-memory scene source.
 #include <gtest/gtest.h>
 
 #include <limits>
 
 #include "data/observation.h"
 #include "data/scene.h"
+#include "data/scene_source.h"
 #include "data/track.h"
 #include "data/types.h"
 
@@ -354,6 +355,26 @@ TEST(TrackTest, ToStringMentionsClassAndSpan) {
   const std::string s = track.ToString();
   EXPECT_NE(s.find("car"), std::string::npos);
   EXPECT_NE(s.find("[0..1]"), std::string::npos);
+}
+
+// ---------------------------------------------------------- SceneSource
+
+// The in-memory source lends the dataset's own scenes: the pointer is the
+// address of dataset.scenes[i], not of a copy, and it owns nothing.
+TEST(DatasetSceneSourceTest, DecodeSceneLendsTheDatasetScene) {
+  Dataset dataset;
+  dataset.scenes.emplace_back("a", 10.0);
+  dataset.scenes.emplace_back("b", 10.0);
+  const DatasetSceneSource source(dataset);
+  ASSERT_EQ(source.scene_count(), 2u);
+  for (size_t i = 0; i < dataset.scenes.size(); ++i) {
+    const auto lent = source.DecodeScene(i);
+    ASSERT_TRUE(lent.ok()) << lent.status();
+    EXPECT_EQ(lent->get(), &dataset.scenes[i]);
+    EXPECT_EQ(lent->use_count(), 0);
+    EXPECT_EQ(source.scene_name(i), dataset.scenes[i].name());
+  }
+  EXPECT_EQ(source.DecodeScene(2).status().code(), StatusCode::kOutOfRange);
 }
 
 }  // namespace

@@ -391,7 +391,7 @@ TEST(FxbCacheTest, SceneSourcesAgree) {
     const auto a = fxb.DecodeScene(i);
     const auto b = json_source->DecodeScene(i);
     ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(SceneToString(*a), SceneToString(*b));
+    EXPECT_EQ(SceneToString(**a), SceneToString(**b));
   }
   std::filesystem::remove_all(dir);
 }

@@ -503,8 +503,8 @@ TEST(ResidencyTest, MaxResidentScenesBoundsThePeak) {
     StreamOptions stream;
     stream.decode_threads = 4;
     stream.max_resident_scenes = limit;
-    const auto report = engine.RankDatasetStreaming(
-        source, Application::kMissingTracks, batch, stream);
+    const auto report =
+        engine.RankDatasetStreaming(source, {"missing-tracks"}, batch, stream);
     ASSERT_TRUE(report.ok()) << report.status();
     const auto it = report->metrics.gauges.find("stream.resident_scenes_peak");
     ASSERT_NE(it, report->metrics.gauges.end());
@@ -513,7 +513,7 @@ TEST(ResidencyTest, MaxResidentScenesBoundsThePeak) {
     }
     EXPECT_GE(it->second, 1.0);
     // The cap never costs coverage: every scene still ranks.
-    EXPECT_EQ(report->scenes_ok, 6u) << "limit " << limit;
+    EXPECT_EQ(report->reports.front().scenes_ok, 6u) << "limit " << limit;
   }
 }
 
@@ -576,10 +576,13 @@ TEST(WatchTest, FoldsAndReranksOnlyTheChangedScene) {
       << "bootstrap cycle never completed";
   Dataset fresh = MakeLabeledDataset(1, 555);
   fresh.scenes.front().set_name(dataset.scenes[1].name());
-  ASSERT_TRUE(io::SaveScene(fresh.scenes.front(),
-                            dir + "/" + dataset.scenes[1].name() +
-                                ".fixy.json")
-                  .ok());
+  // Publish the edit atomically (temp file + rename), as an editor
+  // saving the file does: watch polls while the test writes, and a poll
+  // that reads a half-written scene rightly counts a failed cycle.
+  const std::string edited =
+      dir + "/" + dataset.scenes[1].name() + ".fixy.json";
+  ASSERT_TRUE(io::SaveScene(fresh.scenes.front(), edited + ".tmp").ok());
+  std::filesystem::rename(edited + ".tmp", edited);
   ASSERT_TRUE(wait_until([&] { return updates_seen.load() >= 1; }))
       << "the edit was never picked up";
   const char stop = 1;

@@ -1,8 +1,9 @@
 // Tests for the multi-application pipeline: the ApplicationRegistry, the
 // shared-ScenePass invariants (association once per scene, model view
-// identical to a filtered-scene build), multi-vs-solo byte-identity for
-// the batch and streaming APIs at every thread count, and a user-defined
-// application ranked end-to-end through FixyOptions::extra_applications.
+// identical to a filtered-scene build), multi-vs-solo byte-identity of
+// dataset ranking at every rank and decode thread count, and a
+// user-defined application ranked end-to-end through
+// FixyOptions::extra_applications.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -93,6 +94,14 @@ AppSpec TestUserApp(const std::string& name = "test-user-app") {
 
 const std::vector<std::string> kStandardApps = {
     "missing-tracks", "missing-obs", "model-errors"};
+
+// Ranks `apps` over every scene of `dataset` through the one dataset path.
+Result<MultiAppReport> RankAll(const Fixy& fixy, const Dataset& dataset,
+                               const std::vector<std::string>& apps,
+                               const BatchOptions& batch = {}) {
+  const DatasetSceneSource source(dataset);
+  return fixy.RankDatasetStreaming(source, apps, batch);
+}
 
 class MultiAppTest : public ::testing::Test {
  protected:
@@ -188,7 +197,7 @@ TEST(RegistryTest, EngineSurfacesRegistrationErrors) {
   options.extra_applications.push_back(TestUserApp("missing-tracks"));
   Fixy fixy(std::move(options));
   ASSERT_TRUE(fixy.Learn(data.dataset).ok());
-  const auto result = fixy.RankDataset(data.dataset, {"missing-tracks"});
+  const auto result = RankAll(fixy, data.dataset, {"missing-tracks"});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kAlreadyExists);
 }
@@ -232,14 +241,14 @@ TEST_F(MultiAppTest, BatchMultiAppMatchesSoloRunsAtEveryThreadCount) {
   for (const std::string& app : apps) {
     BatchOptions options;
     options.num_threads = 1;
-    auto result = fixy_->RankDataset(dataset_->dataset, {app}, options);
+    auto result = RankAll(*fixy_, dataset_->dataset, {app}, options);
     ASSERT_TRUE(result.ok()) << app << ": " << result.status().ToString();
     solo.push_back(std::move(result->reports.front()));
   }
   for (int threads = 1; threads <= 8; ++threads) {
     BatchOptions options;
     options.num_threads = threads;
-    const auto multi = fixy_->RankDataset(dataset_->dataset, apps, options);
+    const auto multi = RankAll(*fixy_, dataset_->dataset, apps, options);
     ASSERT_TRUE(multi.ok()) << "threads=" << threads;
     ASSERT_EQ(multi->apps, apps);
     ASSERT_EQ(multi->reports.size(), apps.size());
@@ -277,33 +286,38 @@ TEST_F(MultiAppTest, StreamingMultiAppMatchesSoloRunsAtEveryThreadCount) {
   }
 }
 
+// The batch reference is a serial loop of RankScene over the same request.
 TEST_F(MultiAppTest, StreamingMatchesBatchForTheSameRequest) {
   const std::vector<std::string> apps = fixy_->applications().names();
+  MultiAppReport batch;
+  for (const Scene& scene : dataset_->dataset.scenes) {
+    auto one = fixy_->RankScene(scene, apps);
+    ASSERT_TRUE(one.ok()) << one.status();
+    ASSERT_TRUE(AppendShardReport(batch, std::move(*one)).ok());
+  }
+  RecomputeReportSummary(batch);
   const DatasetSceneSource source(dataset_->dataset);
-  const auto batch = fixy_->RankDataset(dataset_->dataset, apps);
   const auto streamed = fixy_->RankDatasetStreaming(source, apps);
-  ASSERT_TRUE(batch.ok());
   ASSERT_TRUE(streamed.ok());
   for (size_t a = 0; a < apps.size(); ++a) {
     SCOPED_TRACE(apps[a]);
-    ExpectReportsIdentical(batch->reports[a], streamed->reports[a]);
+    ExpectReportsIdentical(batch.reports[a], streamed->reports[a]);
   }
 }
 
 TEST_F(MultiAppTest, RequestOrderIsPreservedAndSelectionIsFree) {
   const std::vector<std::string> request = {"model-errors",
                                             "missing-tracks"};
-  const auto multi = fixy_->RankDataset(dataset_->dataset, request);
+  const auto multi = RankAll(*fixy_, dataset_->dataset, request);
   ASSERT_TRUE(multi.ok());
   EXPECT_EQ(multi->apps, request);
-  const auto solo_me =
-      fixy_->RankDataset(dataset_->dataset, Application::kModelErrors);
+  const auto solo_me = RankAll(*fixy_, dataset_->dataset, {"model-errors"});
   ASSERT_TRUE(solo_me.ok());
-  ExpectReportsIdentical(multi->reports[0], *solo_me);
+  ExpectReportsIdentical(multi->reports[0], solo_me->reports.front());
 }
 
 TEST_F(MultiAppTest, UnknownAppFailsTheCall) {
-  const auto result = fixy_->RankDataset(dataset_->dataset, {"frobnicate"});
+  const auto result = RankAll(*fixy_, dataset_->dataset, {"frobnicate"});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("test-user-app"),
@@ -320,7 +334,7 @@ TEST_F(MultiAppTest, AssociationRunsOncePerSceneNotPerApp) {
   const std::vector<std::string> apps = fixy_->applications().names();
   BatchOptions options;
   options.collect_metrics = true;
-  const auto multi = fixy_->RankDataset(dataset_->dataset, apps, options);
+  const auto multi = RankAll(*fixy_, dataset_->dataset, apps, options);
   ASSERT_TRUE(multi.ok());
   const auto& counters = multi->metrics.counters;
   ASSERT_TRUE(counters.count("rank.track_builds"));
@@ -329,7 +343,7 @@ TEST_F(MultiAppTest, AssociationRunsOncePerSceneNotPerApp) {
 
   int64_t solo_kde_total = 0;
   for (const std::string& app : apps) {
-    const auto solo = fixy_->RankDataset(dataset_->dataset, {app}, options);
+    const auto solo = RankAll(*fixy_, dataset_->dataset, {app}, options);
     ASSERT_TRUE(solo.ok());
     const auto& solo_counters = solo->metrics.counters;
     // Each solo run also associates once per scene.
@@ -350,7 +364,7 @@ TEST_F(MultiAppTest, PerAppMetricsKeysAreDistinct) {
   BatchOptions options;
   options.collect_metrics = true;
   const std::vector<std::string> apps = fixy_->applications().names();
-  const auto multi = fixy_->RankDataset(dataset_->dataset, apps, options);
+  const auto multi = RankAll(*fixy_, dataset_->dataset, apps, options);
   ASSERT_TRUE(multi.ok());
   for (size_t a = 0; a < apps.size(); ++a) {
     const std::string prefix = "rank." + apps[a] + ".";
@@ -376,7 +390,7 @@ TEST_F(MultiAppTest, UserApplicationRanksEndToEnd) {
   BatchOptions options;
   options.collect_metrics = true;
   const auto multi =
-      fixy_->RankDataset(dataset_->dataset, {"test-user-app"}, options);
+      RankAll(*fixy_, dataset_->dataset, {"test-user-app"}, options);
   ASSERT_TRUE(multi.ok());
   const BatchReport& report = multi->reports.front();
   EXPECT_TRUE(report.all_ok());
@@ -416,9 +430,9 @@ TEST_F(MultiAppTest, TopKPruningMatchesUnprunedAfterTopKPerClass) {
     batch.num_threads = 1;
     batch.collect_metrics = true;
     const auto pruned_run =
-        pruned.RankDataset(dataset_->dataset, apps, batch);
+        RankAll(pruned, dataset_->dataset, apps, batch);
     ASSERT_TRUE(pruned_run.ok()) << "k=" << k;
-    const auto baseline = fixy_->RankDataset(dataset_->dataset, apps, batch);
+    const auto baseline = RankAll(*fixy_, dataset_->dataset, apps, batch);
     ASSERT_TRUE(baseline.ok());
 
     int64_t pruned_tracks = 0;
@@ -457,12 +471,12 @@ TEST_F(MultiAppTest, TopKPruningIsThreadCountInvariant) {
   const std::vector<std::string> apps = {"missing-tracks", "model-errors"};
   BatchOptions serial;
   serial.num_threads = 1;
-  const auto baseline = pruned.RankDataset(dataset_->dataset, apps, serial);
+  const auto baseline = RankAll(pruned, dataset_->dataset, apps, serial);
   ASSERT_TRUE(baseline.ok());
   for (int threads = 2; threads <= 8; threads += 3) {
     BatchOptions batch;
     batch.num_threads = threads;
-    const auto run = pruned.RankDataset(dataset_->dataset, apps, batch);
+    const auto run = RankAll(pruned, dataset_->dataset, apps, batch);
     ASSERT_TRUE(run.ok()) << "threads=" << threads;
     for (size_t a = 0; a < apps.size(); ++a) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " app=" + apps[a]);
@@ -480,8 +494,8 @@ TEST_F(MultiAppTest, NonPrunableAppsAreUnaffectedByTopK) {
   const sim::GeneratedDataset training =
       sim::GenerateDataset(*profile_, "multiapp_train", 4, 92);
   ASSERT_TRUE(pruned.Learn(training.dataset).ok());
-  const auto run = pruned.RankDataset(dataset_->dataset, {"missing-obs"});
-  const auto baseline = fixy_->RankDataset(dataset_->dataset, {"missing-obs"});
+  const auto run = RankAll(pruned, dataset_->dataset, {"missing-obs"});
+  const auto baseline = RankAll(*fixy_, dataset_->dataset, {"missing-obs"});
   ASSERT_TRUE(run.ok());
   ASSERT_TRUE(baseline.ok());
   ExpectReportsIdentical(run->reports.front(), baseline->reports.front());
@@ -511,7 +525,7 @@ TEST_F(MultiAppTest, ProposalsAreByteIdenticalAcrossSimdKernels) {
     for (const int threads : {1, 2, 8}) {
       BatchOptions batch;
       batch.num_threads = threads;
-      auto run = fixy.RankDataset(dataset_->dataset, apps, batch);
+      auto run = RankAll(fixy, dataset_->dataset, apps, batch);
       ASSERT_TRUE(run.ok()) << "threads=" << threads;
       for (BatchReport& report : run->reports) {
         reports.push_back(std::move(report));
@@ -525,15 +539,6 @@ TEST_F(MultiAppTest, ProposalsAreByteIdenticalAcrossSimdKernels) {
     SCOPED_TRACE("report " + std::to_string(i));
     ExpectReportsIdentical(per_kernel[0][i], per_kernel[1][i]);
   }
-}
-
-TEST_F(MultiAppTest, SingleAppWrappersMatchNameAddressedRuns) {
-  const auto wrapped =
-      fixy_->RankDataset(dataset_->dataset, Application::kMissingObservations);
-  const auto named = fixy_->RankDataset(dataset_->dataset, {"missing-obs"});
-  ASSERT_TRUE(wrapped.ok());
-  ASSERT_TRUE(named.ok());
-  ExpectReportsIdentical(*wrapped, named->reports.front());
 }
 
 }  // namespace

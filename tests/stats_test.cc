@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "stats/discrete.h"
@@ -398,12 +402,21 @@ TEST(DistributionInterfaceTest, LogDensityIsFloored) {
 }
 
 // Property sweep: for every estimator, NormalizedScore stays in
-// [floor, 1] across a wide input range.
+// [floor, 1] across a wide input range. Each case carries a fixed name
+// that PrintTo reports, so the test's listed name does not depend on a
+// heap address.
+struct NamedDistribution {
+  std::string name;
+  std::shared_ptr<const Distribution> dist;
+};
+
+void PrintTo(const NamedDistribution& d, std::ostream* os) { *os << d.name; }
+
 class DistributionContractTest
-    : public ::testing::TestWithParam<std::shared_ptr<const Distribution>> {};
+    : public ::testing::TestWithParam<NamedDistribution> {};
 
 TEST_P(DistributionContractTest, NormalizedScoreBounds) {
-  const auto& dist = GetParam();
+  const auto& dist = GetParam().dist;
   Rng rng(55);
   for (int i = 0; i < 500; ++i) {
     const double x = rng.Uniform(-100.0, 100.0);
@@ -414,18 +427,25 @@ TEST_P(DistributionContractTest, NormalizedScoreBounds) {
   }
 }
 
-std::vector<std::shared_ptr<const Distribution>> AllDistributions() {
-  std::vector<std::shared_ptr<const Distribution>> all;
-  all.push_back(std::make_shared<GaussianKde>(
-      GaussianKde::Fit(NormalSample(0, 2, 300, 21)).value()));
-  all.push_back(std::make_shared<HistogramDensity>(
-      HistogramDensity::Fit(NormalSample(0, 2, 300, 22), 16).value()));
-  all.push_back(std::make_shared<Gaussian>(Gaussian::Create(0, 2).value()));
-  all.push_back(std::make_shared<Bernoulli>(Bernoulli::Create(0.4).value()));
-  all.push_back(std::make_shared<Categorical>(
-      Categorical::Fit({1, 2, 2, 3, 3, 3}).value()));
-  all.push_back(std::make_shared<LambdaDistribution>(
-      "exp", [](double x) { return std::exp(-std::abs(x)); }));
+std::vector<NamedDistribution> AllDistributions() {
+  std::vector<NamedDistribution> all;
+  all.push_back({"kde", std::make_shared<GaussianKde>(GaussianKde::Fit(
+                            NormalSample(0, 2, 300, 21)).value())});
+  all.push_back({"histogram",
+                 std::make_shared<HistogramDensity>(
+                     HistogramDensity::Fit(NormalSample(0, 2, 300, 22), 16)
+                         .value())});
+  all.push_back(
+      {"gaussian", std::make_shared<Gaussian>(Gaussian::Create(0, 2).value())});
+  all.push_back({"bernoulli",
+                 std::make_shared<Bernoulli>(Bernoulli::Create(0.4).value())});
+  all.push_back({"categorical",
+                 std::make_shared<Categorical>(
+                     Categorical::Fit({1, 2, 2, 3, 3, 3}).value())});
+  all.push_back({"lambda", std::make_shared<LambdaDistribution>(
+                               "exp", [](double x) {
+                                 return std::exp(-std::abs(x));
+                               })});
   return all;
 }
 

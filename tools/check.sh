@@ -18,7 +18,7 @@
 #   tools/check.sh cache      # FXB cache sweep: JSON-vs-FXB proposal
 #                             # parity (byte-identical), cache-hit metrics
 #                             # vs the golden key set, and the streaming
-#                             # tests under asan + tsan
+#                             # and batch-rank tests under asan + tsan
 #   tools/check.sh multiapp   # multi-application sweep: rank --apps all
 #                             # proposals byte-identical to per-app solo
 #                             # runs, one track build per scene (not per
@@ -41,7 +41,7 @@
 #                             # 2x3 scenario-x-app grid byte-identical at
 #                             # any --threads, metrics-diff + regression
 #                             # gate smoke, and the scenario suites under
-#                             # plain + asan builds
+#                             # plain + asan + tsan builds
 #   tools/check.sh incremental # incremental-ingestion sweep: 1-scene edit
 #                             # cache update byte-identical to a rebuild,
 #                             # watch --learn-labels fold byte-identical to
@@ -203,8 +203,11 @@ PYEOF
     echo "==== cache: python3 not found, skipping metrics validation ===="
   fi
 
-  echo "==== cache: streaming tests under asan + tsan ===="
-  local san tests_re="Fxb|BoundedQueue|Crc32|Streaming|Binary|ChecksumFlip"
+  # Every BatchRank test runs the threaded dataset path (rank workers plus
+  # decode loaders), so the whole suite rides along.
+  echo "==== cache: streaming + batch-rank tests under asan + tsan ===="
+  local san
+  local tests_re="Fxb|BoundedQueue|Crc32|Streaming|Binary|ChecksumFlip|BatchRank"
   for san in address thread; do
     local dir="build-${san:0:1}san"  # build-asan / build-tsan
     cmake -B "${dir}" -S . -DFIXY_SANITIZE="${san}"
@@ -362,8 +365,10 @@ run_daemon_sweep() {
   [ -x "${cli}" ] || cli="$(find build -name fixy_cli -type f | head -1)"
   local work
   work="$(mktemp -d)"
-  # The daemon must not outlive the sweep even on failure.
-  trap 'kill "${serve_pid:-}" 2>/dev/null; rm -rf "${work}"' RETURN
+  # The daemon must not outlive the sweep even on failure. After a clean
+  # shutdown serve_pid is empty and kill fails; `|| true` keeps that from
+  # tripping `set -e` inside the trap and failing a passed sweep.
+  trap 'kill "${serve_pid:-}" 2>/dev/null || true; rm -rf "${work}"' RETURN
 
   echo "==== daemon: generate + learn + start fixyd ===="
   "${cli}" generate --out "${work}/ds" --profile lyft --scenes 4 --seed 11
@@ -626,12 +631,18 @@ EOF
       || { echo "sweep FAILED: regression diff missing REGRESSED rows" >&2
            cat "${work}/regress.log" >&2; return 1; }
 
-  echo "==== sweep: scenario suites (plain + asan) ===="
+  # Every sweep cell starts rank and decode threads, so the scenario
+  # suites also run under tsan.
+  echo "==== sweep: scenario suites (plain + asan + tsan) ===="
   local tests_re="SpecValidator|SpecRoundTrip|Presets|Materialize|DropoutWindows|LedgerIo|Sweep|CellDiff"
   (cd build && ctest --output-on-failure -j "${JOBS}" -R "${tests_re}")
-  cmake -B build-asan -S . -DFIXY_SANITIZE=address
-  cmake --build build-asan -j "${JOBS}" --target scenario_test fixy_cli
-  (cd build-asan && ctest --output-on-failure -j "${JOBS}" -R "${tests_re}")
+  local san
+  for san in address thread; do
+    local dir="build-${san:0:1}san"  # build-asan / build-tsan
+    cmake -B "${dir}" -S . -DFIXY_SANITIZE="${san}"
+    cmake --build "${dir}" -j "${JOBS}" --target scenario_test fixy_cli
+    (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" -R "${tests_re}")
+  done
   echo "==== sweep: OK ===="
 }
 

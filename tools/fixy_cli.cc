@@ -638,24 +638,24 @@ Status CmdRank(const Flags& flags) {
   if (decode_threads < 1) {
     return Status::InvalidArgument("--decode-threads must be >= 1");
   }
-  // Hard ceiling on decoded-but-unranked scenes resident in memory during
-  // the streaming cache path (0 = bounded by queue capacity alone).
+  // Hard ceiling on decoded-but-unranked scenes resident in memory (0 =
+  // bounded by queue capacity alone).
   FIXY_ASSIGN_OR_RETURN(const int max_resident,
                         flags.GetIntOr("max-resident-scenes", 0));
   if (max_resident < 0) {
     return Status::InvalidArgument("--max-resident-scenes must be >= 0");
   }
 
-  // Ingestion: a fresh dataset.fxb cache streams scenes into the rank
-  // workers (decode overlapped with ranking); otherwise the JSON loader
-  // materializes the dataset first. Both paths produce byte-identical
-  // proposals — the cache is built with a round-trip parity check. Either
-  // way every requested application ranks from the ONE pass: scenes are
-  // decoded and associated once, then each app compiles and scores
-  // against the shared track set.
+  // Ingestion: a fresh dataset.fxb cache decodes scenes on demand
+  // (decode overlapped with ranking); otherwise the JSON loader
+  // materializes the dataset and lends its scenes. Both sources feed the
+  // same RankDatasetStreaming call and produce byte-identical proposals —
+  // the cache is built with a round-trip parity check. Either way every
+  // requested application ranks from the ONE pass: scenes are decoded and
+  // associated once, then each app compiles and scores against the shared
+  // track set.
   MultiAppReport multi_report;
   size_t files_skipped = 0;
-  bool from_cache = false;
   if (sharded) {
     shard::ShardOptions shard_options;
     shard_options.workers = workers;
@@ -695,25 +695,22 @@ Status CmdRank(const Flags& flags) {
     // quarantined shard fails all of its scenes.
     multi_report = std::move(shard_run.merged);
   }
+  std::unique_ptr<SceneSource> source;
+  io::DatasetLoadReport loaded;  // owns the JSON scenes `source` lends
   if (!sharded && !flags.Has("no-cache")) {
     Result<io::FxbReader> cache = io::OpenFreshCache(data);
     if (cache.ok()) {
       obs::Count("io.fxb.cache_hits");
-      const io::FxbSceneSource source(std::move(cache).value());
-      if (source.scene_count() == 0) {
+      auto fxb =
+          std::make_unique<io::FxbSceneSource>(std::move(cache).value());
+      if (fxb->scene_count() == 0) {
         return Status::InvalidArgument(
-            "dataset '" + source.reader().dataset_name() +
+            "dataset '" + fxb->reader().dataset_name() +
             "' contains no scenes");
       }
       std::printf("using cache: %s (%zu scenes)\n",
-                  io::FxbCachePath(data).c_str(), source.scene_count());
-      StreamOptions stream;
-      stream.decode_threads = decode_threads;
-      stream.max_resident_scenes = static_cast<size_t>(max_resident);
-      FIXY_ASSIGN_OR_RETURN(
-          multi_report,
-          fixy.RankDatasetStreaming(source, apps, batch, stream));
-      from_cache = true;
+                  io::FxbCachePath(data).c_str(), fxb->scene_count());
+      source = std::move(fxb);
     } else {
       obs::Count("io.fxb.cache_misses");
       if (cache.status().code() == StatusCode::kFailedPrecondition) {
@@ -730,22 +727,27 @@ Status CmdRank(const Flags& flags) {
       }
     }
   }
-  if (!sharded && !from_cache) {
+  if (!sharded && source == nullptr) {
     io::DatasetLoadOptions load_options;
     load_options.tolerant = keep_going;
-    FIXY_ASSIGN_OR_RETURN(io::DatasetLoadReport loaded,
-                          io::LoadDataset(data, load_options));
+    FIXY_ASSIGN_OR_RETURN(loaded, io::LoadDataset(data, load_options));
     for (const io::SceneFileError& skipped : loaded.skipped) {
       std::printf("SKIPPED %s: %s\n", skipped.file.c_str(),
                   skipped.status.ToString().c_str());
     }
     files_skipped = loaded.skipped.size();
-    const Dataset& dataset = loaded.dataset;
-    if (dataset.scenes.empty() && files_skipped == 0) {
-      return Status::InvalidArgument("dataset '" + dataset.name +
+    if (loaded.dataset.scenes.empty() && files_skipped == 0) {
+      return Status::InvalidArgument("dataset '" + loaded.dataset.name +
                                      "' contains no scenes");
     }
-    FIXY_ASSIGN_OR_RETURN(multi_report, fixy.RankDataset(dataset, apps, batch));
+    source = std::make_unique<DatasetSceneSource>(loaded.dataset);
+  }
+  if (!sharded) {
+    StreamOptions stream;
+    stream.decode_threads = decode_threads;
+    stream.max_resident_scenes = static_cast<size_t>(max_resident);
+    FIXY_ASSIGN_OR_RETURN(
+        multi_report, fixy.RankDatasetStreaming(*source, apps, batch, stream));
   }
 
   // Per-app output sections: single-app output is byte-compatible with the
@@ -1181,10 +1183,10 @@ void PrintUsage() {
       "           [--metrics-json FILE] write stage timers/counters as JSON\n"
       "           [--verbose-metrics] print the metrics table to stdout\n"
       "           [--no-cache] ignore dataset.fxb and parse the JSON files\n"
-      "           [--decode-threads N] loader threads for the cache's\n"
-      "           streaming path (default 1)\n"
+      "           [--decode-threads N] loader threads feeding the rank\n"
+      "           workers, from the cache or a JSON dataset (default 1)\n"
       "           [--max-resident-scenes N] cap decoded-but-unranked scenes\n"
-      "           resident in memory on the streaming path (0 = queue-bound)\n"
+      "           resident in memory (0 = queue-bound)\n"
       "           [--workers N]  rank in N worker processes over scene-range\n"
       "           shards; each completed shard writes a CRC'd checkpoint,\n"
       "           failed shards retry with capped backoff and quarantine\n"
