@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/applications.h"
+#include "obs/metrics.h"
 
 namespace fixy {
 
@@ -50,6 +51,7 @@ Status ApplicationRegistry::Register(AppSpec app) {
     return Status::AlreadyExists("application '" + app.name +
                                  "' is already registered");
   }
+  app.metric_names = AppMetricNames(app.name);
   apps_.push_back(std::move(app));
   return Status::Ok();
 }
@@ -59,6 +61,15 @@ std::vector<std::string> ApplicationRegistry::names() const {
   out.reserve(apps_.size());
   for (const AppSpec& app : apps_) out.push_back(app.name);
   return out;
+}
+
+void ApplicationRegistry::RecordMetricsSchema() const {
+  for (const AppSpec& app : apps_) {
+    obs::AddTimeNs(app.metric_names.compile, 0);
+    obs::Count(app.metric_names.factors, 0);
+    obs::Count(app.metric_names.proposals, 0);
+    obs::Count(app.metric_names.pruned_tracks, 0);
+  }
 }
 
 const AppSpec* ApplicationRegistry::Find(const std::string& name) const {

@@ -22,7 +22,8 @@ class ApplicationRegistry {
   /// missing-obs, model-errors.
   static ApplicationRegistry Standard();
 
-  /// Registers `app`. Errors (the table is untouched on failure):
+  /// Registers `app` and builds its metric keys. Errors (the table is
+  /// untouched on failure):
   ///  - InvalidArgument: empty name, whitespace or comma in the name
   ///    (--apps splits on commas), or a missing strategy;
   ///  - AlreadyExists: a registered application has the same name.
@@ -34,6 +35,11 @@ class ApplicationRegistry {
 
   /// Registered names, in registration order.
   std::vector<std::string> names() const;
+
+  /// Zero-touches every registered application's rank.<name>.* keys on
+  /// the ambient metrics collector, so a snapshot carries one fixed key
+  /// set whichever applications actually ran.
+  void RecordMetricsSchema() const;
 
   /// The registered application named `name`, or nullptr.
   const AppSpec* Find(const std::string& name) const;

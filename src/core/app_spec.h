@@ -73,6 +73,22 @@ struct AppContext {
   const ApplicationOptions& options;
 };
 
+/// An application's rank.<name>.* metric keys, built once from its name
+/// rather than concatenated on every ranked scene.
+struct AppMetricNames {
+  AppMetricNames() = default;
+  explicit AppMetricNames(const std::string& app)
+      : compile("rank." + app + ".compile"),
+        factors("rank." + app + ".factors"),
+        proposals("rank." + app + ".proposals"),
+        pruned_tracks("rank." + app + ".pruned_tracks") {}
+
+  std::string compile;
+  std::string factors;
+  std::string proposals;
+  std::string pruned_tracks;
+};
+
 /// One application, as registered: strategies plus the metadata the
 /// engine needs to run them through the shared scene pass.
 struct AppSpec {
@@ -107,6 +123,10 @@ struct AppSpec {
   /// pruning bound compares like with like. Ignored when prunable_tracks
   /// is null.
   std::function<bool(const ApplicationOptions&)> prune_normalize;
+
+  /// The metric keys for `name`; ApplicationRegistry::Register fills them
+  /// in, so only registered applications can be ranked.
+  AppMetricNames metric_names;
 };
 
 }  // namespace fixy

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "core/app_registry.h"
 #include "core/features_std.h"
 #include "core/scene_pass.h"
 #include "graph/factor_graph.h"
@@ -79,10 +80,13 @@ ErrorProposal MakeTrackProposal(const Scene& scene, const Track& track,
 }
 
 // Standalone facade shared by the three Find* entry points: one ScenePass
-// over the scene, then the application's compile + extract stage.
+// over the scene, then the registered application's compile + extract
+// stage.
 Result<std::vector<ErrorProposal>> FindWithApp(
-    const Scene& scene, const AppSpec& app, const LoaSpec& spec,
+    const Scene& scene, const std::string& name, const LoaSpec& spec,
     const ApplicationOptions& options) {
+  static const ApplicationRegistry kStandard = ApplicationRegistry::Standard();
+  const AppSpec& app = *kStandard.Find(name);
   FIXY_ASSIGN_OR_RETURN(
       ScenePass pass,
       ScenePass::Run(scene, options.track_builder,
@@ -294,19 +298,19 @@ AppSpec ModelErrorsApp() {
 Result<std::vector<ErrorProposal>> FindMissingTracks(
     const Scene& scene, const LoaSpec& spec,
     const ApplicationOptions& options) {
-  return FindWithApp(scene, MissingTracksApp(), spec, options);
+  return FindWithApp(scene, "missing-tracks", spec, options);
 }
 
 Result<std::vector<ErrorProposal>> FindMissingObservations(
     const Scene& scene, const LoaSpec& spec,
     const ApplicationOptions& options) {
-  return FindWithApp(scene, MissingObservationsApp(), spec, options);
+  return FindWithApp(scene, "missing-obs", spec, options);
 }
 
 Result<std::vector<ErrorProposal>> FindModelErrors(
     const Scene& scene, const LoaSpec& spec,
     const ApplicationOptions& options) {
-  return FindWithApp(scene, ModelErrorsApp(), spec, options);
+  return FindWithApp(scene, "model-errors", spec, options);
 }
 
 }  // namespace fixy

@@ -110,9 +110,10 @@ Result<std::vector<ErrorProposal>> CompileAndExtract(
   const TrackSet& tracks = pass.tracks(app.view);
   Result<FactorGraph> graph = Status::Internal("uncompiled");
   {
-    const obs::ScopedStageTimer compile_timer("rank." + app.name + ".compile");
+    const obs::StageTimer compile_timer;
     graph = FactorGraph::Compile(tracks, spec, scene.frame_rate_hz(),
                                  pass.cache(app.view), track_mask);
+    obs::AddTimeNs(app.metric_names.compile, compile_timer.ElapsedNs());
   }
   FIXY_RETURN_IF_ERROR(graph.status());
   *factor_count = graph->factors().size();
@@ -232,10 +233,10 @@ Result<std::vector<ErrorProposal>> RunPruned(const AppSpec& app,
     }
   }
 
-  obs::Count("rank." + app.name + ".factors", factor_count);
-  obs::Count("rank." + app.name + ".pruned_tracks", pruned);
+  obs::Count(app.metric_names.factors, factor_count);
+  obs::Count(app.metric_names.pruned_tracks, pruned);
   RankProposals(&proposals);
-  obs::Count("rank." + app.name + ".proposals", proposals.size());
+  obs::Count(app.metric_names.proposals, proposals.size());
   return proposals;
 }
 
@@ -274,6 +275,9 @@ Result<std::vector<ErrorProposal>> RunApplicationOnPass(
   FIXY_CHECK_MSG(app.extract != nullptr,
                  "application '%s' has no extract strategy",
                  app.name.c_str());
+  FIXY_CHECK_MSG(!app.metric_names.compile.empty(),
+                 "application '%s' was not registered",
+                 app.name.c_str());
   if (options.top_k_per_class > 0 && app.prunable_tracks != nullptr &&
       !pass.tracks(app.view).tracks.empty()) {
     return RunPruned(app, spec, scene, pass, options);
@@ -283,9 +287,9 @@ Result<std::vector<ErrorProposal>> RunApplicationOnPass(
                         CompileAndExtract(app, spec, scene, pass, options,
                                           /*track_mask=*/nullptr,
                                           &factor_count));
-  obs::Count("rank." + app.name + ".factors", factor_count);
+  obs::Count(app.metric_names.factors, factor_count);
   RankProposals(&proposals);
-  obs::Count("rank." + app.name + ".proposals", proposals.size());
+  obs::Count(app.metric_names.proposals, proposals.size());
   return proposals;
 }
 

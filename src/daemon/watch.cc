@@ -371,12 +371,7 @@ Result<WatchReport> WatchDataset(const WatchOptions& options) {
     obs::AddTimeNs("io.parse", 0);
     obs::AddTimeNs("rank.track_build", 0);
     obs::Count("rank.track_builds", 0);
-    for (const std::string& name : fixy.applications().names()) {
-      obs::AddTimeNs("rank." + name + ".compile", 0);
-      obs::Count("rank." + name + ".factors", 0);
-      obs::Count("rank." + name + ".proposals", 0);
-      obs::Count("rank." + name + ".pruned_tracks", 0);
-    }
+    fixy.applications().RecordMetricsSchema();
   }
 
   SignalPipe signals;

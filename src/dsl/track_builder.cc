@@ -95,11 +95,15 @@ class TrackLinker {
       size_t bundle_index;
     };
     std::vector<Candidate> candidates;
+    bundle_boxes_.clear();
+    for (const ObservationBundle& bundle : bundles) {
+      bundle_boxes_.push_back(&RepresentativeBox(bundle));
+    }
     for (size_t t = 0; t < open_.size(); ++t) {
-      const ObservationBundle& last = open_[t].track.bundles().back();
+      const geom::Box3d& track_box =
+          RepresentativeBox(open_[t].track.bundles().back());
       for (size_t b = 0; b < bundles.size(); ++b) {
-        const double iou =
-            geom::BevIou(RepresentativeBox(last), RepresentativeBox(bundles[b]));
+        const double iou = geom::BevIou(track_box, *bundle_boxes_[b]);
         if (iou > options_.track_iou_threshold) {
           candidates.push_back({iou, t, b});
         }
@@ -166,6 +170,9 @@ class TrackLinker {
 
   const TrackBuilderOptions& options_;
   std::vector<OpenTrack> open_;
+  // Per-frame scratch: each bundle's representative box, found once
+  // rather than once per open track.
+  std::vector<const geom::Box3d*> bundle_boxes_;
   TrackId next_track_id_ = 0;
   TrackSet result_;
 };

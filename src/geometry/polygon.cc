@@ -1,6 +1,8 @@
 #include "geometry/polygon.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace fixy::geom {
 
@@ -9,7 +11,7 @@ namespace {
 // True if `p` is on the interior side (left) of the directed edge a->b,
 // within tolerance.
 bool Inside(const Vec2& p, const Vec2& a, const Vec2& b) {
-  return (b - a).Cross(p - a) >= -1e-12;
+  return (b - a).Cross(p - a) >= -kClipInsideTolerance;
 }
 
 // Intersection point of segment p1->p2 with the infinite line through a->b.
@@ -29,43 +31,65 @@ Vec2 LineIntersection(const Vec2& p1, const Vec2& p2, const Vec2& a,
 
 }  // namespace
 
-double ConvexPolygon::SignedArea() const {
-  if (vertices_.size() < 3) return 0.0;
+double PolygonSignedArea(std::span<const Vec2> vertices) {
+  if (vertices.size() < 3) return 0.0;
   double sum = 0.0;
-  for (size_t i = 0; i < vertices_.size(); ++i) {
-    const Vec2& p = vertices_[i];
-    const Vec2& q = vertices_[(i + 1) % vertices_.size()];
+  for (size_t i = 0; i < vertices.size(); ++i) {
+    const Vec2& p = vertices[i];
+    const Vec2& q = vertices[(i + 1) % vertices.size()];
     sum += p.Cross(q);
   }
   return sum / 2.0;
 }
 
-ConvexPolygon ConvexPolygon::Intersect(const ConvexPolygon& clip) const {
-  if (empty() || clip.empty()) return ConvexPolygon();
-  std::vector<Vec2> output = vertices_;
-  const auto& clip_vertices = clip.vertices();
-  for (size_t i = 0; i < clip_vertices.size() && !output.empty(); ++i) {
-    const Vec2& a = clip_vertices[i];
-    const Vec2& b = clip_vertices[(i + 1) % clip_vertices.size()];
-    std::vector<Vec2> input = std::move(output);
-    output.clear();
-    for (size_t j = 0; j < input.size(); ++j) {
-      const Vec2& current = input[j];
-      const Vec2& prev = input[(j + input.size() - 1) % input.size()];
+std::optional<std::span<const Vec2>> ClipConvexPolygon(
+    std::span<const Vec2> subject, std::span<const Vec2> clip,
+    std::span<Vec2> scratch_a, std::span<Vec2> scratch_b) {
+  const size_t capacity = std::min(scratch_a.size(), scratch_b.size());
+  std::span<const Vec2> input = subject;
+  Vec2* output = scratch_a.data();
+  Vec2* spare = scratch_b.data();
+  for (size_t i = 0; i < clip.size() && !input.empty(); ++i) {
+    // A pass emits at most n + n/2 vertices (see ClipCapacity).
+    if (input.size() + input.size() / 2 > capacity) return std::nullopt;
+    const Vec2& a = clip[i];
+    const Vec2& b = clip[(i + 1) % clip.size()];
+    size_t count = 0;
+    const Vec2* prev = &input.back();
+    bool prev_inside = Inside(*prev, a, b);
+    for (const Vec2& current : input) {
       const bool current_inside = Inside(current, a, b);
-      const bool prev_inside = Inside(prev, a, b);
       if (current_inside) {
         if (!prev_inside) {
-          output.push_back(LineIntersection(prev, current, a, b));
+          output[count++] = LineIntersection(*prev, current, a, b);
         }
-        output.push_back(current);
+        output[count++] = current;
       } else if (prev_inside) {
-        output.push_back(LineIntersection(prev, current, a, b));
+        output[count++] = LineIntersection(*prev, current, a, b);
       }
+      prev = &current;
+      prev_inside = current_inside;
     }
+    input = std::span<const Vec2>(output, count);
+    std::swap(output, spare);
   }
-  if (output.size() < 3) return ConvexPolygon();
-  return ConvexPolygon(std::move(output));
+  return input;
+}
+
+ConvexPolygon ConvexPolygon::Intersect(const ConvexPolygon& clip) const {
+  if (empty() || clip.empty()) return ConvexPolygon();
+  // ClipCapacity grows exponentially in m; start from the n + m that
+  // exact convex inputs need and grow until the per-pass bound fits.
+  for (size_t capacity = vertices_.size() + clip.vertices().size();;
+       capacity *= 2) {
+    std::vector<Vec2> scratch_a(capacity);
+    std::vector<Vec2> scratch_b(capacity);
+    const std::optional<std::span<const Vec2>> output =
+        ClipConvexPolygon(vertices_, clip.vertices(), scratch_a, scratch_b);
+    if (!output.has_value()) continue;
+    if (output->size() < 3) return ConvexPolygon();
+    return ConvexPolygon(std::vector<Vec2>(output->begin(), output->end()));
+  }
 }
 
 }  // namespace fixy::geom

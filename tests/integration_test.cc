@@ -6,10 +6,15 @@
 
 #include "baselines/model_assertions.h"
 #include "baselines/uncertainty.h"
+#include "common/crc32.h"
 #include "core/engine.h"
+#include "core/proposal_io.h"
 #include "core/ranker.h"
+#include "data/scene_source.h"
 #include "eval/metrics.h"
 #include "io/scene_io.h"
+#include "scenario/materialize.h"
+#include "scenario/presets.h"
 #include "sim/generate.h"
 
 namespace fixy {
@@ -201,6 +206,63 @@ TEST_F(PipelineTest, MaExclusionProtocolReducesClaimablePool) {
     }
   }
   EXPECT_LE(remaining.size(), before);
+}
+
+// Pins the pipeline's output bytes to recorded values. Every parity suite
+// compares two paths that share the association geometry, so a change
+// that moves association results (and with them tracks, learned
+// densities and proposals) passes them all; this test does not. The
+// constants were recorded before the BEV-IoU fast path went in, and the
+// fast path must reproduce them exactly. A deliberate output change
+// re-records them and says so.
+TEST(OutputDigestTest, DenseUrbanScenesModelAndProposalsArePinned) {
+  Result<scenario::ScenarioSpec> spec =
+      scenario::PresetByName("dense-urban-intersection");
+  ASSERT_TRUE(spec.ok());
+  spec->world.duration_seconds = 3.0;
+  const Result<sim::GeneratedDataset> generated =
+      scenario::GenerateScenarioDataset(*spec, 3, 20260);
+  ASSERT_TRUE(generated.ok());
+  const Dataset& dataset = generated->dataset;
+
+  std::string scene_bytes;
+  for (const Scene& scene : dataset.scenes) {
+    scene_bytes += io::SceneToString(scene);
+  }
+
+  Fixy fixy;
+  ASSERT_TRUE(fixy.Learn(dataset).ok());
+  const std::string model_path =
+      (std::filesystem::temp_directory_path() / "fixy_digest_model.json")
+          .string();
+  ASSERT_TRUE(fixy.SaveModel(model_path).ok());
+  std::string model_bytes;
+  ASSERT_TRUE(io::ReadFileInto(model_path, &model_bytes).ok());
+  std::filesystem::remove(model_path);
+
+  const Result<MultiAppReport> report = fixy.RankDatasetStreaming(
+      DatasetSceneSource(dataset),
+      {"missing-tracks", "missing-obs", "model-errors"});
+  ASSERT_TRUE(report.ok());
+  std::string proposal_bytes;
+  size_t proposal_count = 0;
+  for (const BatchReport& app : report->reports) {
+    std::vector<ErrorProposal> all;
+    for (const SceneOutcome& outcome : app.outcomes) {
+      ASSERT_TRUE(outcome.ok()) << outcome.status.ToString();
+      all.insert(all.end(), outcome.proposals.begin(),
+                 outcome.proposals.end());
+    }
+    proposal_count += all.size();
+    proposal_bytes += json::Write(ProposalsToJson(all), /*pretty=*/true);
+  }
+  // Guard against a vacuous digest of empty output.
+  EXPECT_GT(proposal_count, 0u);
+
+  EXPECT_EQ(Crc32(scene_bytes), 0xb2513fd7u) << std::hex << Crc32(scene_bytes);
+  EXPECT_EQ(Crc32(model_bytes), 0x5c496f02u) << std::hex << Crc32(model_bytes);
+  EXPECT_EQ(Crc32(proposal_bytes), 0x6c9d65a7u)
+      << std::hex << Crc32(proposal_bytes);
 }
 
 }  // namespace

@@ -47,7 +47,9 @@
 #                             # watch --learn-labels fold byte-identical to
 #                             # a full refit, watch smoke with a live edit,
 #                             # and the randomized parity/merge suites
-#   tools/check.sh perf       # perf-regression gate: re-run the hot-path
+#   tools/check.sh perf       # perf-regression gate: first the BEV-IoU
+#                             # bit-exactness and output-digest suites,
+#                             # then re-run the hot-path
 #                             # throughput bench and fail if any scenes/sec
 #                             # row drops below the tolerance band of the
 #                             # committed BENCH_hotpath.json, then the same
@@ -647,9 +649,16 @@ EOF
 }
 
 run_perf_gate() {
-  echo "==== perf: build bench_throughput ===="
+  echo "==== perf: build bench_throughput + the byte-exactness suites ===="
   cmake -B build -S .
-  cmake --build build -j "${JOBS}" --target bench_throughput
+  cmake --build build -j "${JOBS}" \
+      --target bench_throughput geometry_test integration_test
+  # Bytes before speed: the BEV fast path must match the reference clipper
+  # bit for bit and the pinned output digests must hold, so a speedup that
+  # changes bytes fails here, before any timing gate runs.
+  echo "==== perf: bit-exactness + output digest suites ===="
+  (cd build && ctest --output-on-failure -j "${JOBS}" \
+      -R '^(BevFastPathTest|OutputDigestTest)\.')
   local bench="build/bench/bench_throughput"
   [ -x "${bench}" ] || bench="$(find build -name bench_throughput -type f | head -1)"
   [ -f BENCH_hotpath.json ] \

@@ -615,12 +615,7 @@ Status CmdRank(const Flags& flags) {
     obs::AddTimeNs("rank.track_build", 0);
     obs::Count("rank.track_builds", 0);
     daemon::RecordDaemonMetricsSchema(fixy.applications().names());
-    for (const std::string& name : fixy.applications().names()) {
-      obs::AddTimeNs("rank." + name + ".compile", 0);
-      obs::Count("rank." + name + ".factors", 0);
-      obs::Count("rank." + name + ".proposals", 0);
-      obs::Count("rank." + name + ".pruned_tracks", 0);
-    }
+    fixy.applications().RecordMetricsSchema();
   }
 
   // Scenes rank in parallel across the pool (--threads, default hardware
