@@ -47,17 +47,21 @@
 #                             # watch --learn-labels fold byte-identical to
 #                             # a full refit, watch smoke with a live edit,
 #                             # and the randomized parity/merge suites
-#   tools/check.sh perf       # perf-regression gate: first the BEV-IoU
-#                             # bit-exactness and output-digest suites,
-#                             # then re-run the hot-path
-#                             # throughput bench and fail if any scenes/sec
-#                             # row drops below the tolerance band of the
-#                             # committed BENCH_hotpath.json, then the same
-#                             # for the cold rows of BENCH_shard.json, the
-#                             # resident p50 latencies of BENCH_daemon.json,
-#                             # and the update/fold speedups of
-#                             # BENCH_incremental.json
-#                             # (see FIXY_PERF_TOLERANCE, default 0.75)
+#   tools/check.sh perf       # perf gate: first the BEV-IoU bit-exactness
+#                             # and output-digest suites, then
+#                             # tools/perf_gate.py check: every perfbench
+#                             # workload once with --smoke --trace 1 (output
+#                             # checks of the traced path), then, if
+#                             # tools/perf_reference.json holds this host's
+#                             # perfbench `host:` line, the timed workloads
+#                             # over fixed seeds against it, under the
+#                             # BENCHMARK.json end-to-end bounds; on any
+#                             # other host "no comparable baseline" and no
+#                             # timing verdict
+#   tools/check.sh perf-record # the same byte suites, then record this
+#                             # host's timed perfbench runs into
+#                             # tools/perf_reference.json (a quiet host,
+#                             # about six minutes)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -648,46 +652,30 @@ EOF
   echo "==== sweep: OK ===="
 }
 
-run_perf_gate() {
-  echo "==== perf: build bench_throughput + the byte-exactness suites ===="
+# Bytes before speed: the BEV fast path must match the reference clipper
+# bit for bit and the pinned output digests must hold, so a speedup that
+# changes bytes fails here, before any timing runs.
+run_byte_suites() {
+  echo "==== perf: build the byte-exactness suites ===="
   cmake -B build -S .
-  cmake --build build -j "${JOBS}" \
-      --target bench_throughput geometry_test integration_test
-  # Bytes before speed: the BEV fast path must match the reference clipper
-  # bit for bit and the pinned output digests must hold, so a speedup that
-  # changes bytes fails here, before any timing gate runs.
+  cmake --build build -j "${JOBS}" --target geometry_test integration_test
   echo "==== perf: bit-exactness + output digest suites ===="
   (cd build && ctest --output-on-failure -j "${JOBS}" \
       -R '^(BevFastPathTest|OutputDigestTest)\.')
-  local bench="build/bench/bench_throughput"
-  [ -x "${bench}" ] || bench="$(find build -name bench_throughput -type f | head -1)"
-  [ -f BENCH_hotpath.json ] \
-      || { echo "perf gate FAILED: BENCH_hotpath.json not committed" >&2
-           return 1; }
-  [ -f BENCH_shard.json ] \
-      || { echo "perf gate FAILED: BENCH_shard.json not committed" >&2
-           return 1; }
-  echo "==== perf: re-measure vs committed BENCH_hotpath.json ===="
-  # The filter matches no google-benchmark; only the hot-path measurement
-  # and the baseline diff run. A regression exits non-zero.
-  "${bench}" --benchmark_filter=NothingMatchesThis \
-      --hotpath-baseline BENCH_hotpath.json
-  echo "==== perf: re-measure vs committed BENCH_shard.json ===="
-  "${bench}" --benchmark_filter=NothingMatchesThis \
-      --shard-baseline BENCH_shard.json
-  [ -f BENCH_daemon.json ] \
-      || { echo "perf gate FAILED: BENCH_daemon.json not committed" >&2
-           return 1; }
-  echo "==== perf: re-measure vs committed BENCH_daemon.json ===="
-  "${bench}" --benchmark_filter=NothingMatchesThis \
-      --daemon-baseline BENCH_daemon.json
-  [ -f BENCH_incremental.json ] \
-      || { echo "perf gate FAILED: BENCH_incremental.json not committed" >&2
-           return 1; }
-  echo "==== perf: re-measure vs committed BENCH_incremental.json ===="
-  "${bench}" --benchmark_filter=NothingMatchesThis \
-      --incremental-baseline BENCH_incremental.json
+}
+
+run_perf_gate() {
+  run_byte_suites
+  echo "==== perf: perfbench vs tools/perf_reference.json ===="
+  python3 tools/perf_gate.py check
   echo "==== perf: OK ===="
+}
+
+run_perf_record() {
+  run_byte_suites
+  echo "==== perf-record: perfbench into tools/perf_reference.json ===="
+  python3 tools/perf_gate.py record
+  echo "==== perf-record: OK ===="
 }
 
 mode="${1:-all}"
@@ -716,6 +704,8 @@ case "${mode}" in
     run_scenario_sweep ;;
   perf)
     run_perf_gate ;;
+  perf-record)
+    run_perf_record ;;
   all)
     run_suite "plain" build
     run_suite "asan" build-asan -DFIXY_SANITIZE=address
@@ -730,7 +720,7 @@ case "${mode}" in
     run_scenario_sweep
     run_perf_gate ;;
   *)
-    echo "usage: $0 [plain|address|thread|undefined|metrics|cache|multiapp|shard|daemon|incremental|sweep|perf|all]" >&2
+    echo "usage: $0 [plain|address|thread|undefined|metrics|cache|multiapp|shard|daemon|incremental|sweep|perf|perf-record|all]" >&2
     exit 2 ;;
 esac
 echo "all requested suites passed"

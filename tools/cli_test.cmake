@@ -128,6 +128,14 @@ foreach(bad_flags
   endif()
 endforeach()
 
+# ---- Unknown flags are errors naming the flag, never silent defaults. ----
+execute_process(COMMAND ${CLI} learn --data ${WORK}/ds --model ${WORK}/typo.json
+                        --estimatr histogram
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0 OR NOT err MATCHES "--estimatr")
+  message(FATAL_ERROR "learn --estimatr should fail naming the flag: ${out}${err}")
+endif()
+
 # ---- Partial-failure fixture: corrupt one scene file on disk. ----
 run_cli(generate --out ${WORK}/broken --profile internal --scenes 2 --seed 7)
 file(GLOB BROKEN_SCENES ${WORK}/broken/*.fixy.json)
@@ -508,7 +516,8 @@ endif()
 foreach(bad_flags
         "sim;--out;${WORK}/x;--preset;lyft-like;--scenes;abc"
         "sim;--out;${WORK}/x;--preset;lyft-like;--seed;1.5"
-        "sim;--out;${WORK}/x;--preset;lyft-like;--scenes;-3")
+        "sim;--out;${WORK}/x;--preset;lyft-like;--scenes;-3"
+        "sim;--out;${WORK}/x;--preset;lyft-like;--bogus-flag;7")
   execute_process(COMMAND ${CLI} ${bad_flags}
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
   if(rc EQUAL 0)

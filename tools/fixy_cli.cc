@@ -123,10 +123,13 @@ Result<int64_t> ParseInt64Flag(const std::string& name,
 }
 
 // Minimal --flag value parser; every flag takes exactly one value, except
-// the boolean switches listed in kBooleanFlags, which take none.
+// the boolean switches listed in kBooleanFlags, which take none. A flag the
+// command does not read (`known`) is an error, so a typo fails instead of
+// silently leaving the option at its default.
 class Flags {
  public:
-  static Result<Flags> Parse(int argc, char** argv, int first) {
+  static Result<Flags> Parse(int argc, char** argv, int first,
+                             const std::set<std::string>& known) {
     static const std::set<std::string> kBooleanFlags = {
         "keep-going", "fail-fast", "verbose-metrics", "no-cache", "resume",
         "learn-labels", "verify", "fxb", "list-presets", "diff-only",
@@ -138,6 +141,10 @@ class Flags {
         return Status::InvalidArgument("expected a --flag, got: " + arg);
       }
       const std::string name = arg.substr(2);
+      if (known.count(name) == 0) {
+        return Status::InvalidArgument(std::string("unknown flag for ") +
+                                       argv[1] + ": " + arg);
+      }
       if (kBooleanFlags.count(name) > 0) {
         flags.values_[name] = "true";
         continue;
@@ -289,6 +296,15 @@ std::string PerAppOutPath(const std::string& out_path,
   renamed.replace_filename(path.stem().string() + "." + app +
                            path.extension().string());
   return renamed.string();
+}
+
+// `--estimator kde|histogram|gaussian` (default kde).
+Result<EstimatorKind> EstimatorFlag(const Flags& flags) {
+  const std::string estimator = flags.GetOr("estimator", "kde");
+  if (estimator == "kde") return EstimatorKind::kKde;
+  if (estimator == "histogram") return EstimatorKind::kHistogram;
+  if (estimator == "gaussian") return EstimatorKind::kGaussian;
+  return Status::InvalidArgument("unknown estimator: " + estimator);
 }
 
 Result<sim::SimProfile> ProfileByName(const std::string& name) {
@@ -452,16 +468,8 @@ Status CmdSweep(const Flags& flags) {
     return Status::InvalidArgument("--threads must be >= 0");
   }
   options.cache_dir = flags.GetOr("cache-dir", "");
-  const std::string estimator = flags.GetOr("estimator", "kde");
-  if (estimator == "kde") {
-    options.engine.learner.estimator = EstimatorKind::kKde;
-  } else if (estimator == "histogram") {
-    options.engine.learner.estimator = EstimatorKind::kHistogram;
-  } else if (estimator == "gaussian") {
-    options.engine.learner.estimator = EstimatorKind::kGaussian;
-  } else {
-    return Status::InvalidArgument("unknown estimator: " + estimator);
-  }
+  FIXY_ASSIGN_OR_RETURN(options.engine.learner.estimator,
+                        EstimatorFlag(flags));
   // Same registry surface as `rank`: the demo user application is
   // rankable in a sweep too (--apps suspect-tracks).
   options.engine.extra_applications.push_back(SuspectTracksApp());
@@ -493,16 +501,7 @@ Status CmdLearn(const Flags& flags) {
   FIXY_ASSIGN_OR_RETURN(Dataset dataset, io::LoadDataset(data));
 
   FixyOptions options;
-  const std::string estimator = flags.GetOr("estimator", "kde");
-  if (estimator == "kde") {
-    options.learner.estimator = EstimatorKind::kKde;
-  } else if (estimator == "histogram") {
-    options.learner.estimator = EstimatorKind::kHistogram;
-  } else if (estimator == "gaussian") {
-    options.learner.estimator = EstimatorKind::kGaussian;
-  } else {
-    return Status::InvalidArgument("unknown estimator: " + estimator);
-  }
+  FIXY_ASSIGN_OR_RETURN(options.learner.estimator, EstimatorFlag(flags));
 
   Fixy fixy(std::move(options));
   FIXY_RETURN_IF_ERROR(fixy.Learn(dataset));
@@ -885,16 +884,8 @@ Status CmdServe(const Flags& flags) {
   if (options.engine.application.top_k_per_class < 0) {
     return Status::InvalidArgument("--top-k must be >= 0");
   }
-  const std::string estimator = flags.GetOr("estimator", "kde");
-  if (estimator == "kde") {
-    options.engine.learner.estimator = EstimatorKind::kKde;
-  } else if (estimator == "histogram") {
-    options.engine.learner.estimator = EstimatorKind::kHistogram;
-  } else if (estimator == "gaussian") {
-    options.engine.learner.estimator = EstimatorKind::kGaussian;
-  } else {
-    return Status::InvalidArgument("unknown estimator: " + estimator);
-  }
+  FIXY_ASSIGN_OR_RETURN(options.engine.learner.estimator,
+                        EstimatorFlag(flags));
   options.engine.extra_applications.push_back(SuspectTracksApp());
   FIXY_ASSIGN_OR_RETURN(std::unique_ptr<daemon::FixydServer> server,
                         daemon::FixydServer::Create(std::move(options)));
@@ -1136,6 +1127,39 @@ Status CmdInfo(const Flags& flags) {
   return Status::Ok();
 }
 
+// Every flag each command reads; Flags::Parse rejects any other. The
+// rank-shard row holds exactly what shard::Coordinator passes its workers.
+const std::map<std::string, std::set<std::string>>& CommandFlags() {
+  static const auto* flags = new std::map<std::string, std::set<std::string>>{
+      {"generate", {"out", "profile", "scenes", "seed"}},
+      {"sim", {"out", "preset", "scenario", "scenes", "seed", "fxb",
+               "list-presets"}},
+      {"sweep", {"report", "presets", "scenarios", "apps", "scenes", "seed",
+                 "top", "threads", "estimator", "cache-dir", "baseline",
+                 "fail-on-regression", "diff-only"}},
+      {"learn", {"data", "model", "estimator"}},
+      {"rank", {"data", "model", "app", "apps", "top", "top-k", "out",
+                "threads", "keep-going", "fail-fast", "metrics-json",
+                "verbose-metrics", "no-cache", "decode-threads",
+                "max-resident-scenes", "workers", "resume", "shard-scenes",
+                "max-attempts", "backoff-ms", "backoff-cap-ms",
+                "heartbeat-timeout-ms", "checkpoint-dir"}},
+      {"rank-shard", {"data", "model", "apps", "shard", "shard-scenes",
+                      "checkpoint-dir", "top-k", "threads", "heartbeat-ms",
+                      "no-cache"}},
+      {"serve", {"socket", "model", "threads", "rank-threads", "queue-depth",
+                 "top-k", "estimator"}},
+      {"query", {"socket", "cmd", "data", "scene", "scene-index", "app",
+                 "apps", "top", "out", "deadline-ms", "model", "timeout-ms"}},
+      {"cache", {"data", "verify"}},
+      {"watch", {"data", "model", "model-out", "interval-ms", "max-cycles",
+                 "learn-labels", "app", "apps", "top", "threads",
+                 "metrics-json", "verbose-metrics"}},
+      {"info", {"data"}},
+  };
+  return *flags;
+}
+
 void PrintUsage() {
   std::fprintf(
       stderr,
@@ -1232,6 +1256,11 @@ int Main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
+  const auto known = CommandFlags().find(command);
+  if (known == CommandFlags().end()) {
+    PrintUsage();
+    return 2;
+  }
   // `cache` accepts the dataset directory as a positional argument
   // (`fixy_cli cache DIR`) as well as via --data.
   std::string positional;
@@ -1240,7 +1269,8 @@ int Main(int argc, char** argv) {
     positional = argv[2];
     first_flag = 3;
   }
-  const Result<Flags> flags = Flags::Parse(argc, argv, first_flag);
+  const Result<Flags> flags =
+      Flags::Parse(argc, argv, first_flag, known->second);
   if (!flags.ok()) {
     std::fprintf(stderr, "error: %s\n", flags.status().ToString().c_str());
     return 2;
@@ -1266,11 +1296,8 @@ int Main(int argc, char** argv) {
     status = CmdCache(positional, *flags);
   } else if (command == "watch") {
     status = CmdWatch(*flags);
-  } else if (command == "info") {
+  } else {  // info: CommandFlags() admits no other command
     status = CmdInfo(*flags);
-  } else {
-    PrintUsage();
-    return 2;
   }
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
